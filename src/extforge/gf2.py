@@ -1,19 +1,29 @@
 """Bit-packed dense linear algebra over GF(2).
 
 Everything downstream (resolutions, Hom complexes, the cobar oracle)
-reduces to rank/kernel/solve computations over the two-element field, so
-this module fixes a single deterministic elimination rule: pivot on the
-lowest-index nonzero column, in the topmost available row.  Every basis
-derived from it (kernel bases, canonical solutions) is then reproducible
-across runs, platforms, and worker counts.
+reduces to rank/kernel/solve computations over the two-element field.
+They all run on one elimination, :class:`Solver`, which holds each row as
+a Python int (bit c is column c), so a row operation is a single int XOR.
 
-Rows are packed 64 columns per uint64 word; elimination XORs whole rows
-at once through numpy.
+Forward reduction keys every row by its lowest set bit: while that bit is
+already the pivot of a stored row, the stored row is XORed in.  The row
+then either owns a new pivot or vanishes, leaving a relation among the
+original rows.  The pivots found are the columns at which the rank of the
+leading columns grows, whatever order the rows come in.  Back-substitution
+clears each pivot column outside its own row and so reaches the reduced
+row echelon form, which is unique.  Hence everything the canonical pivot
+rule (pivot on the lowest-index nonzero column) defines -- the pivot
+columns, the free-variable kernel basis ordered by free column, and the
+solution with every free variable zero -- depends only on the matrix,
+never on the elimination order, and is reproducible across runs,
+platforms and worker counts.
+
+:class:`BitMatrix` stores rows packed 64 columns per uint64 word for
+hashing, products and serialisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,14 +37,25 @@ def _words_for(cols: int) -> int:
 
 def _pack_dense(dense: np.ndarray) -> np.ndarray:
     rows, cols = dense.shape
-    words = _words_for(cols)
-    bits = np.zeros((rows, words), dtype=np.uint64)
-    for w in range(words):
-        chunk = dense[:, w * _WORD : min((w + 1) * _WORD, cols)].astype(np.uint64)
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        if chunk.shape[1]:
-            bits[:, w] = np.bitwise_or.reduce(chunk << shifts, axis=1)
-    return bits
+    out = np.zeros((rows, 8 * _words_for(cols)), dtype=np.uint8)
+    out[:, : (cols + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _vector_int(vector, length: int) -> int:
+    """A 0/1 vector as an int, bit c = entry c."""
+    vec = np.asarray(vector, dtype=np.uint8).reshape(-1) & 1
+    if vec.shape[0] != length:
+        raise ValueError(f"vector length {vec.shape[0]} does not match {length}")
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+
+
+def _unpack_ints(rows: Sequence[int], cols: int) -> np.ndarray:
+    """0/1 uint8 array with one row per int; the ints must be below 2**cols."""
+    width = (cols + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 class BitMatrix:
@@ -98,10 +119,14 @@ class BitMatrix:
         return BitMatrix(rows, cols, bits)
 
     def to_dense(self) -> np.ndarray:
-        if self.cols == 0:
-            return np.zeros((self.rows, 0), dtype=np.uint8)
-        cs = np.arange(self.cols)
-        return ((self.bits[:, cs >> 6] >> (cs & 63).astype(np.uint64)) & 1).astype(np.uint8)
+        octets = self.bits.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, axis=1, count=self.cols, bitorder="little")
+
+    def int_rows(self) -> list[int]:
+        """The rows as ints, bit c = column c."""
+        raw = self.bits.astype("<u8", copy=False).tobytes()
+        step = 8 * self.bits.shape[1]
+        return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
 
     def get(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -148,124 +173,114 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def stack_rows(mats: Sequence[BitMatrix]) -> BitMatrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column mismatch")
-    bits = np.vstack([m.bits for m in mats])
-    return BitMatrix(sum(m.rows for m in mats), cols, bits.copy())
+def _reduce(pivots: dict[int, int], row: int) -> int:
+    """XOR pivot rows into ``row`` until its lowest set bit is no pivot.
 
-
-@dataclass(frozen=True)
-class RowEchelonResult:
-    """Reduced row-echelon form plus the pivot bookkeeping."""
-
-    matrix: BitMatrix
-    pivot_columns: tuple[int, ...]
-    rank: int
-
-
-def _eliminate(work: np.ndarray, rows: int, cols: int, pivot_limit: int) -> list[int]:
-    """In-place RREF on a writable packed payload; returns pivot columns.
-
-    Only columns below ``pivot_limit`` are eligible as pivots; later
-    columns (e.g. an augmented right-hand side) are carried along.
+    ``pivots`` maps a column to the stored row whose lowest set bit it is.
+    The result is 0 exactly when ``row`` lies in the span of those rows.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(pivot_limit):
-        if r == rows:
+    while row:
+        pivot = pivots.get((row & -row).bit_length() - 1)
+        if pivot is None:
             break
-        w, s = c >> 6, np.uint64(c & 63)
-        col = (work[r:, w] >> s) & np.uint64(1)
-        hits = np.nonzero(col)[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        mask = ((work[:, w] >> s) & np.uint64(1)).astype(bool)
-        mask[r] = False
-        if mask.any():
-            work[mask] ^= work[r]
-        pivots.append(c)
-        r += 1
-    return pivots
+        row ^= pivot
+    return row
 
 
-def rref(m: BitMatrix, pivot_limit: Optional[int] = None) -> RowEchelonResult:
-    """Reduced row echelon form with the canonical pivot rule."""
-    limit = m.cols if pivot_limit is None else pivot_limit
-    work = m.bits.copy()
-    pivots = _eliminate(work, m.rows, m.cols, limit)
-    return RowEchelonResult(BitMatrix(m.rows, m.cols, work), tuple(pivots), len(pivots))
+class Solver:
+    """The one elimination of a fixed matrix: rank, pivots, kernel, solutions.
+
+    Row i enters tagged with bit ``cols + i``, so every reduced row also
+    records which original rows it sums.  Rows whose matrix part vanishes
+    are relations: m x = b is solvable exactly when b is orthogonal to
+    every relation.  Back-substitution to the reduced echelon form runs
+    once, on the first call that needs it.
+    """
+
+    def __init__(self, m: BitMatrix):
+        self.matrix = m
+        self._pivots: dict[int, int] = {}
+        self._relations: list[int] = []
+        self._reduced: Optional[list[tuple[int, int]]] = None
+        cols = m.cols
+        for i, row in enumerate(m.int_rows()):
+            row = _reduce(self._pivots, row | (1 << (cols + i)))
+            low = (row & -row).bit_length() - 1
+            if low < cols:
+                self._pivots[low] = row
+            else:
+                self._relations.append(row >> cols)
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        return tuple(sorted(self._pivots))
+
+    def _rref(self) -> list[tuple[int, int]]:
+        """(pivot column, fully reduced tagged row), by ascending pivot."""
+        if self._reduced is None:
+            done: dict[int, int] = {}
+            mask = 0  # pivot columns above the current one
+            for p in sorted(self._pivots, reverse=True):
+                row = self._pivots[p]
+                hits = row & mask
+                while hits:
+                    low = hits & -hits
+                    row ^= done[low.bit_length() - 1]
+                    hits ^= low
+                done[p] = row
+                mask |= 1 << p
+            self._reduced = sorted(done.items())
+        return self._reduced
+
+    def kernel(self) -> BitMatrix:
+        """Canonical basis of the right kernel, one vector per row.
+
+        The basis is the free-variable basis read off the RREF, ordered by
+        free column index: the vector for free column f has a 1 at f and
+        the pivot-row entries of column f at the pivot columns.
+        """
+        cols = self.matrix.cols
+        reduced = self._rref()
+        pivots = [p for p, _ in reduced]
+        is_free = np.ones(cols, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        dense = np.zeros((free.size, cols), dtype=np.uint8)
+        dense[np.arange(free.size), free] = 1
+        if reduced:
+            mask = (1 << cols) - 1
+            rref = _unpack_ints([row & mask for _, row in reduced], cols)
+            dense[:, pivots] = rref[:, free].T
+        return BitMatrix.from_dense(dense)
+
+    def solve(self, b) -> Optional[np.ndarray]:
+        """Canonical solution of m x = b (free variables zero), or None."""
+        m = self.matrix
+        rhs = _vector_int(b, m.rows)
+        if any((rel & rhs).bit_count() & 1 for rel in self._relations):
+            return None
+        x = np.zeros(m.cols, dtype=np.uint8)
+        for p, row in self._rref():
+            x[p] = ((row >> m.cols) & rhs).bit_count() & 1
+        return x
 
 
 def rank(m: BitMatrix) -> int:
-    return rref(m).rank
+    return Solver(m).rank
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """Canonical basis of the right kernel, one vector per row.
-
-    The basis is the free-variable basis read off the RREF, ordered by
-    free column index: vector for free column f has a 1 at f and the
-    pivot-row entries of column f at the pivot columns.
-    """
-    res = rref(m)
-    piv = set(res.pivot_columns)
-    free = [c for c in range(m.cols) if c not in piv]
-    dense = np.zeros((len(free), m.cols), dtype=np.uint8)
-    R = res.matrix
-    for k, f in enumerate(free):
-        dense[k, f] = 1
-        for row_idx, p in enumerate(res.pivot_columns):
-            dense[k, p] = R.get(row_idx, f)
-    return BitMatrix.from_dense(dense)
-
-
-def _solve_reduced(work: np.ndarray, pivots: list[int], rows: int, rhs_col: int) -> Optional[np.ndarray]:
-    w, s = rhs_col >> 6, np.uint64(rhs_col & 63)
-    rhs = ((work[:, w] >> s) & np.uint64(1)).astype(np.uint8)
-    if rhs[len(pivots) :].any():
-        return None
-    x = np.zeros(rhs_col, dtype=np.uint8)
-    for k, p in enumerate(pivots):
-        x[p] = rhs[k]
-    return x
+    """Canonical basis of the right kernel; see :meth:`Solver.kernel`."""
+    return Solver(m).kernel()
 
 
 def solve(m: BitMatrix, b) -> Optional[np.ndarray]:
     """Canonical solution of m x = b (free variables zero), or None."""
-    vec = np.asarray(b, dtype=np.uint8).reshape(-1) & 1
-    if vec.shape[0] != m.rows:
-        raise ValueError("length of b must equal row count")
-    dense = np.concatenate([m.to_dense(), vec[:, None]], axis=1)
-    aug = BitMatrix.from_dense(dense)
-    work = aug.bits.copy()
-    pivots = _eliminate(work, aug.rows, aug.cols, m.cols)
-    return _solve_reduced(work, pivots, aug.rows, m.cols)
-
-
-def solve_matrix(m: BitMatrix, B: BitMatrix) -> Optional[BitMatrix]:
-    """Columnwise canonical solutions of m X = B; None if any column fails."""
-    if B.rows != m.rows:
-        raise ValueError("row mismatch")
-    dense = np.concatenate([m.to_dense(), B.to_dense()], axis=1)
-    aug = BitMatrix.from_dense(dense)
-    work = aug.bits.copy()
-    pivots = _eliminate(work, aug.rows, aug.cols, m.cols)
-    cols_out = []
-    for j in range(B.cols):
-        x = _solve_reduced(work, pivots, aug.rows, m.cols + j)
-        if x is None:
-            return None
-        cols_out.append(x[: m.cols])
-    if not cols_out:
-        return BitMatrix.zeros(m.cols, 0)
-    return BitMatrix.from_dense(np.stack(cols_out, axis=1))
+    return Solver(m).solve(b)
 
 
 def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -278,13 +293,6 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
         if sup:
             out[i] = np.bitwise_xor.reduce(b.bits[np.asarray(sup, dtype=np.intp)], axis=0)
     return BitMatrix(a.rows, b.cols, out)
-
-
-def row_space_contains(basis: BitMatrix, vector: np.ndarray) -> bool:
-    """Whether ``vector`` lies in the row space of ``basis``."""
-    stacked = np.concatenate([basis.to_dense(), (np.asarray(vector, dtype=np.uint8) & 1)[None, :]], axis=0)
-    m = BitMatrix.from_dense(stacked)
-    return rref(m).rank == rref(basis).rank
 
 
 def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -> int:
@@ -328,78 +336,47 @@ def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -
     return len(pivot_col)
 
 
-class Solver:
-    """One elimination of a fixed matrix, reused across many right sides.
-
-    Solutions follow the same canonical rule as :func:`solve` (free
-    variables zero).
-    """
-
-    def __init__(self, m: BitMatrix):
-        self.matrix = m
-        padded = np.zeros((m.rows, _words_for(m.cols + m.rows)), dtype=np.uint64)
-        padded[:, : m.bits.shape[1]] = m.bits
-        # track row operations in an appended identity block
-        for i in range(m.rows):
-            c = m.cols + i
-            padded[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
-        self._pivots = _eliminate(padded, m.rows, m.cols + m.rows, m.cols)
-        full = BitMatrix(m.rows, m.cols + m.rows, padded)
-        self._ops = full.to_dense()[:, m.cols :] if m.rows else np.zeros((0, 0), dtype=np.uint8)
-
-    def solve(self, b) -> Optional[np.ndarray]:
-        vec = np.asarray(b, dtype=np.uint8).reshape(-1) & 1
-        if vec.shape[0] != self.matrix.rows:
-            raise ValueError("length of b must equal row count")
-        m = self.matrix
-        reduced = (self._ops @ vec) & 1 if m.rows else vec
-        if reduced[len(self._pivots) :].any():
-            return None
-        x = np.zeros(m.cols, dtype=np.uint8)
-        for k, p in enumerate(self._pivots):
-            x[p] = reduced[k]
-        return x
-
-
 class IncrementalSpan:
-    """Row space that grows one vector at a time, kept in echelon form."""
+    """Row space that grows by vectors, held as int rows keyed by pivot bit.
+
+    Each stored row's lowest set bit is its pivot, distinct across rows;
+    vectors are reduced by the same step as :class:`Solver` rows.
+    """
 
     def __init__(self, cols: int):
         self.cols = cols
-        self._rows: list[np.ndarray] = []
-        self._pivots: list[int] = []
+        self._pivots: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
     @property
     def rows(self) -> tuple[np.ndarray, ...]:
-        """Echelon rows currently spanning the space."""
-        return tuple(self._rows)
+        """Echelon rows currently spanning the space, by ascending pivot."""
+        return tuple(_unpack_ints([self._pivots[p] for p in sorted(self._pivots)], self.cols))
 
-    def reduce(self, vector) -> np.ndarray:
-        v = (np.asarray(vector, dtype=np.uint8).reshape(-1) & 1).copy()
-        if v.shape[0] != self.cols:
-            raise ValueError("vector length mismatch")
-        for p, r in zip(self._pivots, self._rows):
-            if v[p]:
-                v ^= r
-        return v
+    def copy(self) -> "IncrementalSpan":
+        other = IncrementalSpan(self.cols)
+        other._pivots = dict(self._pivots)
+        return other
 
     def contains(self, vector) -> bool:
-        return not self.reduce(vector).any()
+        return not _reduce(self._pivots, _vector_int(vector, self.cols))
+
+    def _insert(self, row: int) -> bool:
+        row = _reduce(self._pivots, row)
+        if row:
+            self._pivots[(row & -row).bit_length() - 1] = row
+        return bool(row)
 
     def add(self, vector) -> bool:
         """Add a vector; returns True when it enlarged the span."""
-        v = self.reduce(vector)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        pivot = int(nz[0])
-        idx = 0
-        while idx < len(self._pivots) and self._pivots[idx] < pivot:
-            idx += 1
-        self._pivots.insert(idx, pivot)
-        self._rows.insert(idx, v)
-        return True
+        return self._insert(_vector_int(vector, self.cols))
+
+    def extend(self, rows) -> np.ndarray:
+        """Add the rows of a 0/1 array in order; a mask of those that enlarged the span."""
+        m = BitMatrix.from_dense(rows)
+        if m.cols != self.cols:
+            raise ValueError(f"rows have {m.cols} columns, the span {self.cols}")
+        return np.array([self._insert(row) for row in m.int_rows()], dtype=bool)

@@ -465,11 +465,11 @@ def _coaction_from_generator_actions(
                 )
                 candidates.append((k, m_low))
                 rows.append(sorted(index[t] for t in prod.terms))
-        span = gf2.BitMatrix.from_support(len(rows), len(monos), rows)
+        solver = gf2.Solver(gf2.BitMatrix.from_support(len(rows), len(monos), rows).transpose())
         for m in monos:
             target = np.zeros(len(monos), dtype=np.uint8)
             target[index[m]] = 1
-            combo = gf2.solve(span.transpose(), target)
+            combo = solver.solve(target)
             if combo is None:
                 raise ComoduleError(f"monomial {m} is not decomposable; bad profile data")
             mat = gf2.BitMatrix.zeros(dim, dim)

@@ -60,35 +60,19 @@ def _mono_degree(mono: tuple[int, ...]) -> int:
     return sum(e * ((1 << i) - 1) for i, e in enumerate(mono, 1))
 
 
-def _rmul_dense(algebra: Profile, mono: tuple[int, ...], d: int) -> np.ndarray:
-    """Matrix of x -> x * mono from degree d, columns over the degree-d basis."""
-    key = ("r", algebra.exponents, mono, d)
+def _mul_dense(algebra: Profile, side: str, mono: tuple[int, ...], d: int) -> np.ndarray:
+    """Matrix of x -> x * mono (side "r") or x -> mono * x (side "l") from
+    degree d, columns over the degree-d basis."""
+    key = (side, algebra.exponents, mono, d)
     out = _mul_cache.get(key)
     if out is None:
         src = basis_in_degree(algebra, d)
         tgt_pos = _mono_positions(algebra, d + _mono_degree(mono))
         out = np.zeros((len(tgt_pos), len(src)), dtype=np.uint8)
-        b = MilnorElement(algebra, frozenset([mono]))
+        fixed = MilnorElement(algebra, frozenset([mono]))
         for j, m in enumerate(src):
-            prod = milnor_product(MilnorElement(algebra, frozenset([m])), b)
-            for term in prod.terms:
-                out[tgt_pos[term], j] ^= 1
-        out.setflags(write=False)
-        _mul_cache[key] = out
-    return out
-
-
-def _lmul_dense(algebra: Profile, mono: tuple[int, ...], d: int) -> np.ndarray:
-    """Matrix of x -> mono * x from degree d."""
-    key = ("l", algebra.exponents, mono, d)
-    out = _mul_cache.get(key)
-    if out is None:
-        src = basis_in_degree(algebra, d)
-        tgt_pos = _mono_positions(algebra, d + _mono_degree(mono))
-        out = np.zeros((len(tgt_pos), len(src)), dtype=np.uint8)
-        a = MilnorElement(algebra, frozenset([mono]))
-        for j, m in enumerate(src):
-            prod = milnor_product(a, MilnorElement(algebra, frozenset([m])))
+            x = MilnorElement(algebra, frozenset([m]))
+            prod = milnor_product(x, fixed) if side == "r" else milnor_product(fixed, x)
             for term in prod.terms:
                 out[tgt_pos[term], j] ^= 1
         out.setflags(write=False)
@@ -201,7 +185,7 @@ class FreeComplex:
                 continue
             for h, a in self.diff[s][i]:
                 for mono in a.terms:
-                    block = _rmul_dense(self.algebra, mono, d_src)
+                    block = _mul_dense(self.algebra, "r", mono, d_src)
                     r0 = rows_off[h]
                     c0 = cols_off[i]
                     dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] ^= block
@@ -242,7 +226,7 @@ class FreeComplex:
             if not seg.any():
                 continue
             for mono in a.terms:
-                block = _lmul_dense(self.algebra, mono, d)
+                block = _mul_dense(self.algebra, "l", mono, d)
                 out[offs_out[i] : offs_out[i] + block.shape[0]] ^= (block @ seg) % 2
         return out
 
@@ -348,20 +332,16 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
                 dense_at[s] = image
                 continue
             span = gf2.IncrementalSpan(kernel_rows.shape[1])
-            for col in range(image.shape[1]):
-                span.add(image[:, col])
-            new_cols: list[np.ndarray] = []
-            for v in kernel_rows:
-                if not span.add(v):
-                    continue
+            span.extend(image.T)
+            new_rows = kernel_rows[span.extend(kernel_rows)]
+            for v in new_rows:
                 res.gens[s].append(Gen(t, 0))
                 res.diff[s].append(res.vector_to_rows(s - 1, t, v))
-                new_cols.append(v)
-            if new_cols:
+            if new_rows.shape[0]:
                 res._coords_cache.clear()
                 res._matrix_cache.clear()
                 res._solver_cache.clear()
-                image = np.concatenate([image, np.stack(new_cols, axis=1)], axis=1)
+                image = np.concatenate([image, new_rows.T], axis=1)
             dense_at[s] = image
     return res
 
@@ -513,21 +493,14 @@ def _hom_delta_dense(
     return dense
 
 
-def _canonical_reps(
-    delta_cur: gf2.BitMatrix, prev_image_cols: Optional[np.ndarray]
-) -> CohomologyLocal:
-    """Cohomology data from the outgoing delta and the incoming image."""
-    kernel = gf2.kernel_basis(delta_cur).to_dense()
-    boundary = gf2.IncrementalSpan(delta_cur.cols)
+def _canonical_reps(delta_cur: gf2.Solver, prev_image_cols: Optional[np.ndarray]) -> CohomologyLocal:
+    """Cohomology data from the eliminated outgoing delta and the incoming image."""
+    kernel = delta_cur.kernel().to_dense()
+    boundary = gf2.IncrementalSpan(delta_cur.matrix.cols)
     if prev_image_cols is not None:
-        for col in range(prev_image_cols.shape[1]):
-            boundary.add(prev_image_cols[:, col])
-    span = gf2.IncrementalSpan(delta_cur.cols)
-    for row in boundary.rows:
-        span.add(row)
-    reps = [v for v in kernel if span.add(v)]
-    rep_arr = np.stack(reps, axis=0) if reps else np.zeros((0, delta_cur.cols), dtype=np.uint8)
-    return CohomologyLocal(kernel, boundary, rep_arr)
+        boundary.extend(prev_image_cols.T)
+    reps = kernel[boundary.copy().extend(kernel)]
+    return CohomologyLocal(kernel, boundary, reps)
 
 
 def _provenance_of_class(
@@ -557,13 +530,10 @@ def _provenance_of_class(
         if keep.size == 0:
             continue
         sub_kernel = gf2.kernel_basis(gf2.BitMatrix.from_dense(dense_cur[:, keep])).to_dense()
-        span = gf2.IncrementalSpan(total)
-        for row in local.boundary_span.rows:
-            span.add(row)
-        for v in sub_kernel:
-            emb = np.zeros(total, dtype=np.uint8)
-            emb[keep] = v
-            span.add(emb)
+        emb = np.zeros((sub_kernel.shape[0], total), dtype=np.uint8)
+        emb[:, keep] = sub_kernel
+        span = local.boundary_span.copy()
+        span.extend(emb)
         for idx in sorted(pending):
             if span.contains(local.rep_vectors[idx]):
                 out[idx] = j
@@ -605,13 +575,14 @@ def ext_over_complex(
                 continue
             delta_dense = _hom_delta_dense(cplx, M, s, t, dense_cache)
             delta = gf2.BitMatrix.from_dense(delta_dense)
-            rank_cur = gf2.rank(delta)
+            solver = gf2.Solver(delta)
+            rank_cur = solver.rank
             dim = (cur_total - rank_cur) - prev_rank
             if dim:
                 chart.dims[(s, t)] = dim
                 stem = t - s
                 if with_reps:
-                    local = _canonical_reps(delta, prev_image)
+                    local = _canonical_reps(solver, prev_image)
                     chart.reps[(s, t)] = local
                     prov = _provenance_of_class(cplx, M, s, t, delta, local)
                     chart.provenance[(s, t)] = prov
@@ -1133,7 +1104,7 @@ def _trivial_delta(cplx: FreeComplex, s: int, t: int) -> gf2.BitMatrix:
 def _local_cohomology(cplx: FreeComplex, s: int, t: int) -> CohomologyLocal:
     """Trivial-coefficient cohomology of the complex at one spot; vectors are
     indexed by the level-s generators of internal degree t."""
-    cur = _trivial_delta(cplx, s, t)
+    cur = gf2.Solver(_trivial_delta(cplx, s, t))
     prev_cols = _trivial_delta(cplx, s - 1, t).to_dense() if s >= 1 else None
     return _canonical_reps(cur, prev_cols)
 
@@ -1319,7 +1290,7 @@ def select_self_map(
                         width = len(basis_in_degree(X.algebra, d))
                         if width == 0:
                             continue
-                        blk = _lmul_dense(X.algebra, mono, d)
+                        blk = _mul_dense(X.algebra, "l", mono, d)
                         dense[
                             off + offs_out[bi] : off + offs_out[bi] + blk.shape[0],
                             hp[0] + offs_in[bi] : hp[0] + offs_in[bi] + width,
@@ -1332,7 +1303,7 @@ def select_self_map(
                     dense[off : off + mat.rows, gp[0] : gp[0] + mat.cols] ^= mat.to_dense()
         return dense
 
-    d_cur = gf2.BitMatrix.from_dense(dmat(s0))
+    d_cur = gf2.Solver(gf2.BitMatrix.from_dense(dmat(s0)))
     d_prev = dmat(s0 - 1) if s0 >= 1 else None
     local = _canonical_reps(d_cur, d_prev)
 

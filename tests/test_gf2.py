@@ -1,18 +1,31 @@
 """Bit-packed GF(2) linear algebra against a plain elimination reference."""
 
+from typing import Optional
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extforge import gf2
 
+# shapes reach 20 x 140, so rows span three 64-bit words
+_FEW = settings(max_examples=60, deadline=None)
 
-def reference_rank(dense: np.ndarray) -> int:
-    """Textbook elimination over GF(2), no packing tricks."""
+
+def reference_rref(dense: np.ndarray, pivot_limit: Optional[int] = None):
+    """Textbook Gauss-Jordan over GF(2), no packing tricks.
+
+    Pivots on the lowest-index nonzero column, in the topmost available
+    row, among the first ``pivot_limit`` columns; later columns (say an
+    augmented right side) are carried along.  Returns the reduced matrix
+    and its pivot columns.
+    """
     work = dense.copy() % 2
-    rank = 0
     rows, cols = work.shape
-    for c in range(cols):
+    limit = cols if pivot_limit is None else pivot_limit
+    pivots: list[int] = []
+    for c in range(limit):
+        rank = len(pivots)
         pivot = None
         for r in range(rank, rows):
             if work[r, c]:
@@ -24,36 +37,99 @@ def reference_rank(dense: np.ndarray) -> int:
         for r in range(rows):
             if r != rank and work[r, c]:
                 work[r] ^= work[rank]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return work, pivots
+
+
+def reference_rank(dense: np.ndarray) -> int:
+    return len(reference_rref(dense)[1])
+
+
+def reference_kernel(dense: np.ndarray) -> np.ndarray:
+    """Free-variable kernel basis read off the RREF, by free column."""
+    reduced, pivots = reference_rref(dense)
+    cols = dense.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    out = np.zeros((len(free), cols), dtype=np.uint8)
+    for k, f in enumerate(free):
+        out[k, f] = 1
+        for j, p in enumerate(pivots):
+            out[k, p] = reduced[j, f]
+    return out
+
+
+def reference_solve(dense: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Solution of dense x = b with every free variable zero, or None."""
+    rows, cols = dense.shape
+    reduced, pivots = reference_rref(np.concatenate([dense, b.reshape(rows, 1)], axis=1), cols)
+    if reduced[len(pivots) :, cols].any():
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for j, p in enumerate(pivots):
+        x[p] = reduced[j, cols]
+    return x
 
 
 @st.composite
-def dense_matrices(draw, max_rows: int = 9, max_cols: int = 9):
+def bit_arrays(draw, rows: int, cols: int) -> np.ndarray:
+    """Uniform, sparse, left-padded or low-rank 0/1 arrays of a fixed shape.
+
+    Left padding with zero columns pushes the pivots past word boundaries.
+    """
+    kind = draw(st.sampled_from(("uniform", "sparse", "padded", "low-rank")))
+
+    def uniform(r: int, c: int, below: int = 128) -> np.ndarray:
+        raw = draw(st.binary(min_size=r * c, max_size=r * c))
+        return (np.frombuffer(raw, dtype=np.uint8).reshape(r, c) < below).astype(np.uint8)
+
+    if kind == "uniform":
+        return uniform(rows, cols)
+    if kind == "sparse":
+        return uniform(rows, cols, below=24)
+    if kind == "padded":
+        out = uniform(rows, cols)
+        out[:, : draw(st.integers(0, cols))] = 0
+        return out
+    inner = draw(st.integers(0, 4))
+    return (uniform(rows, inner).astype(int) @ uniform(inner, cols).astype(int) % 2).astype(np.uint8)
+
+
+@st.composite
+def dense_matrices(draw, max_rows: int = 20, max_cols: int = 140):
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
-    bits = draw(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-    return np.array(bits, dtype=np.uint8).reshape(rows, cols)
+    return draw(bit_arrays(rows, cols))
 
 
+EMPTY_SHAPES = (np.zeros((0, 70), dtype=np.uint8), np.ones((5, 0), dtype=np.uint8))
+
+
+def with_empty_shapes(test):
+    for dense in EMPTY_SHAPES:
+        test = example(dense)(test)
+    return test
+
+
+@_FEW
+@with_empty_shapes
 @given(dense_matrices())
 def test_dense_roundtrip(dense):
     m = gf2.BitMatrix.from_dense(dense)
     assert np.array_equal(m.to_dense(), dense)
     assert m.rows == dense.shape[0] and m.cols == dense.shape[1]
+    assert m.int_rows() == [sum(int(bit) << c for c, bit in enumerate(row)) for row in dense]
 
 
+@_FEW
+@with_empty_shapes
 @given(dense_matrices())
 def test_rank_matches_reference(dense):
-    assert gf2.rank(gf2.BitMatrix.from_dense(dense)) == reference_rank(dense)
+    m = gf2.BitMatrix.from_dense(dense)
+    assert gf2.rank(m) == reference_rank(dense)
+    assert list(gf2.Solver(m).pivot_columns) == reference_rref(dense)[1]
 
 
+@_FEW
 @given(dense_matrices())
 def test_rank_transpose_invariant(dense):
     m = gf2.BitMatrix.from_dense(dense)
@@ -61,45 +137,44 @@ def test_rank_transpose_invariant(dense):
     assert np.array_equal(m.transpose().transpose().to_dense(), dense)
 
 
+@_FEW
+@with_empty_shapes
 @given(dense_matrices())
 def test_kernel_is_kernel(dense):
     m = gf2.BitMatrix.from_dense(dense)
     kernel = gf2.kernel_basis(m)
+    # the canonical basis: the reference's rows, in the same order
+    assert np.array_equal(kernel.to_dense(), reference_kernel(dense))
     assert kernel.rows + gf2.rank(m) == m.cols
     if kernel.rows and m.rows:
-        prod = (dense @ kernel.to_dense().T) % 2
+        prod = (dense.astype(int) @ kernel.to_dense().T) % 2
         assert not prod.any()
-    # kernel rows are independent
-    assert gf2.rank(kernel) == kernel.rows
 
 
+@_FEW
 @given(dense_matrices(), st.data())
 def test_solve_finds_preimages(dense, data):
     m = gf2.BitMatrix.from_dense(dense)
-    x = np.array(
-        data.draw(st.lists(st.integers(0, 1), min_size=m.cols, max_size=m.cols)),
-        dtype=np.uint8,
-    )
-    b = (dense @ x) % 2 if m.rows else np.zeros(0, dtype=np.uint8)
+    x = data.draw(bit_arrays(1, m.cols))[0]
+    b = (dense.astype(int) @ x) % 2
     y = gf2.solve(m, b)
     assert y is not None
-    again = (dense @ y) % 2 if m.rows else np.zeros(0, dtype=np.uint8)
-    assert np.array_equal(again, b)
+    assert np.array_equal((dense.astype(int) @ y) % 2, b)
+    assert np.array_equal(y, reference_solve(dense, b))
 
 
+@_FEW
 @given(dense_matrices(), st.data())
 def test_solver_agrees_with_solve(dense, data):
     m = gf2.BitMatrix.from_dense(dense)
     solver = gf2.Solver(m)
-    rhs = np.array(
-        data.draw(st.lists(st.integers(0, 1), min_size=m.rows, max_size=m.rows)),
-        dtype=np.uint8,
-    )
-    one = gf2.solve(m, rhs)
-    other = solver.solve(rhs)
-    assert (one is None) == (other is None)
-    if other is not None and m.rows:
-        assert np.array_equal((dense @ other) % 2, rhs)
+    expected = None
+    for rhs in data.draw(bit_arrays(3, m.rows)):
+        expected = reference_solve(dense, rhs)
+        for got in (gf2.solve(m, rhs), solver.solve(rhs)):
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert np.array_equal(got, expected)
 
 
 @given(dense_matrices(max_rows=7, max_cols=7), st.data())
@@ -144,21 +219,36 @@ def test_sparse_rank_hashable_row_labels():
     assert gf2.sparse_rank(cols) == 2
 
 
+@_FEW
+@with_empty_shapes
 @given(dense_matrices())
 def test_row_space_contains_own_rows(dense):
-    m = gf2.BitMatrix.from_dense(dense)
-    for r in range(m.rows):
-        assert gf2.row_space_contains(m, dense[r])
-
-
-@given(dense_matrices())
-def test_incremental_span_rank(dense):
     span = gf2.IncrementalSpan(dense.shape[1])
-    for row in dense:
-        span.add(row)
+    span.extend(dense)
+    for r in range(dense.shape[0]):
+        assert span.contains(dense[r])
+        assert span.contains(dense[r] ^ dense[0])
+
+
+@_FEW
+@given(dense_matrices(), st.data())
+def test_incremental_span_rank(dense, data):
+    cols = dense.shape[1]
+    span = gf2.IncrementalSpan(cols)
+    grew = [span.add(row) for row in dense]
     assert span.rank == reference_rank(dense)
+    # a row enlarges the span exactly when it raises the rank of the rows so far
+    assert grew == [reference_rank(dense[: r + 1]) > reference_rank(dense[:r]) for r in range(len(dense))]
+    batch = gf2.IncrementalSpan(cols)
+    assert batch.extend(dense).tolist() == grew
+    assert batch.rank == span.rank
+    assert reference_rank(np.array(span.rows, dtype=np.uint8).reshape(span.rank, cols)) == span.rank
     for row in dense:
         assert span.contains(row)
+    for probe in data.draw(bit_arrays(3, cols)):
+        in_span = reference_solve(dense.T, probe) is not None
+        assert span.contains(probe) == in_span == batch.contains(probe)
+        assert batch.copy().add(probe) != in_span
 
 
 def test_from_support_and_get_bounds():
@@ -171,13 +261,3 @@ def test_from_support_and_get_bounds():
         pass
     else:
         raise AssertionError("out-of-range get must raise")
-
-
-@given(dense_matrices(), dense_matrices())
-def test_stack_rows_concatenates(a, b):
-    if a.shape[1] != b.shape[1]:
-        return
-    stacked = gf2.stack_rows(
-        [gf2.BitMatrix.from_dense(a), gf2.BitMatrix.from_dense(b)]
-    )
-    assert np.array_equal(stacked.to_dense(), np.vstack([a, b]))
