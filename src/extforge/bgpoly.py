@@ -17,10 +17,10 @@ spot (s, t) to (s-k, t-8l-k) on the bo_1^{(x)m} chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 Monomial = tuple[int, int, int]  # (k, l, m): s^k t^l x^m
 
@@ -291,70 +291,3 @@ def e1_window(
     rec([], n, budget)
     out.sort(key=lambda pair: pair[0])
     return out
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of the arithmetic vanishing certificate for one chart spot."""
-
-    s: int
-    t: int
-    tensor_power: int
-    certified: bool
-    reason: str
-    trace: tuple[str, ...] = field(default=())
-
-
-def vanishing_certificate(
-    s: int,
-    t: int,
-    tensor_power: int,
-    edges: dict[int, Fraction],
-    bottom: int = 0,
-    slope: Fraction = Fraction(1, 5),
-) -> CertificateReport:
-    """Certify Ext^{s,t}(bo_1^{(x)m} (x) M) = 0 by exact arithmetic alone.
-
-    ``edges`` holds measured vanishing-edge intercepts for the charts that
-    need no further expansion: edges[0] for plain M coefficients, edges[1]
-    for bo_1 (x) M.  For m >= 2 the spot is expanded through the summand
-    spectral sequence: every monomial s^k t^l x^{m'} of f_m moves the spot
-    to (s-k, t-8l-k) on the bo_1^{(x)m'} chart (m' < m always, since every
-    monomial has l >= 1 there), and the A(1)-residue is killed by the
-    vanishing-line filter.  The certificate fails loudly rather than
-    guessing when a sub-spot cannot be decided.
-    """
-    trace: list[str] = []
-
-    def visit(s_: int, t_: int, m_: int, depth: int) -> tuple[bool, str]:
-        stem = t_ - s_
-        pad = "  " * depth
-        if s_ < 0 or stem < bottom:
-            trace.append(f"{pad}({s_},{t_}) m={m_}: below connectivity, zero")
-            return True, "connectivity"
-        if m_ <= 1:
-            edge = edges.get(m_)
-            if edge is None:
-                return False, f"no measured edge for tensor power {m_}"
-            margin = Fraction(s_) - slope * stem - edge
-            trace.append(f"{pad}({s_},{t_}) m={m_}: edge margin {margin}")
-            if margin > 0:
-                return True, "edge"
-            return False, (
-                f"spot ({s_},{t_}) on the bo_1^({m_}) chart is not above its "
-                f"measured edge (margin {margin})"
-            )
-        if not a1_vanishing_filter(stem, s_):
-            return False, (
-                f"spot ({s_},{t_}) is below the A(1) vanishing line; the "
-                "residual terms cannot be dismissed"
-            )
-        trace.append(f"{pad}({s_},{t_}) m={m_}: above the A(1) line, expanding f_{m_}")
-        for (k, l, mp), _c in f(m_).coefficients:
-            ok, why = visit(s_ - k, t_ - 8 * l - k, mp, depth + 1)
-            if not ok:
-                return False, why
-        return True, "expansion"
-
-    ok, why = visit(s, t, tensor_power, 0)
-    return CertificateReport(s, t, tensor_power, ok, why, tuple(trace))

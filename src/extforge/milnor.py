@@ -343,76 +343,3 @@ def coproduct(algebra: Profile, mono: tuple[int, ...]) -> tuple[tuple[tuple[int,
             splits.append((left, right))
     splits.sort(key=lambda p: (monomial_sort_key(p[0]), monomial_sort_key(p[1])))
     return tuple(splits)
-
-
-def dual_pairing(mono: tuple[int, ...], dual_mono: tuple[int, ...]) -> int:
-    """Kronecker pairing: Sq(r_1,...) hits exactly xi_1^{r_1} xi_2^{r_2} ..."""
-    return 1 if normalize_monomial(mono) == normalize_monomial(dual_mono) else 0
-
-
-@dataclass(frozen=True)
-class DualElement:
-    """A mod-2 sum of monomials in the dual generators, exponent-vector form."""
-
-    terms: frozenset[tuple[int, ...]]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> Optional[int]:
-        for m in self.terms:
-            return monomial_degree(m)
-        return None
-
-    def weight(self) -> Optional[int]:
-        for m in self.terms:
-            return monomial_weight(m)
-        return None
-
-
-def poincare_series(algebra: Profile) -> dict[int, int]:
-    """Graded dimensions of a finite profile algebra."""
-    if algebra.exponents is None:
-        raise ValueError("full algebra has no finite Poincare series")
-    coeffs = {0: 1}
-    for i, h in enumerate(algebra.exponents, start=1):
-        new: dict[int, int] = {}
-        for e in range(1 << h):
-            d = e * xi_degree(i)
-            for deg, c in coeffs.items():
-                new[deg + d] = new.get(deg + d, 0) + c
-        coeffs = new
-    return coeffs
-
-
-def indecomposable_degrees(algebra: Profile, max_degree: int) -> tuple[int, ...]:
-    """Degrees with indecomposables, computed from A+ . A+ per degree.
-
-    For a profile algebra the answer is the degrees 2^i of the generators
-    Sq(2^i); this computes it honestly as a cross-check hook.
-    """
-    degs = []
-    for n in range(1, max_degree + 1):
-        basis_n = basis_in_degree(algebra, n)
-        if not basis_n:
-            continue
-        index = {m: k for k, m in enumerate(basis_n)}
-        decomposable: set[frozenset] = set()
-        span_rows = []
-        for a in range(1, n):
-            for ma in basis_in_degree(algebra, a):
-                for mb in basis_in_degree(algebra, n - a):
-                    prod = _product_monomials(algebra, ma, mb)
-                    if prod:
-                        span_rows.append(frozenset(index[m] for m in prod))
-        from . import gf2
-
-        if span_rows:
-            mat = gf2.BitMatrix.from_support(len(span_rows), len(basis_n), [sorted(r) for r in span_rows])
-            rk = gf2.rank(mat)
-        else:
-            rk = 0
-        if rk < len(basis_n):
-            degs.append(n)
-    return tuple(degs)

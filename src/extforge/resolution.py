@@ -47,37 +47,65 @@ class LiftError(RuntimeError):
     pass
 
 
-# ----- multiplication matrices on the algebra -----
+# ----- multiplication tables on the algebra -----
 
-_mul_cache: dict[tuple, np.ndarray] = {}
+_mul_cache: dict[tuple, tuple[int, ...]] = {}
 
 
 def _mono_positions(algebra: Profile, d: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(basis_in_degree(algebra, d))}
 
 
-def _mono_degree(mono: tuple[int, ...]) -> int:
-    return sum(e * ((1 << i) - 1) for i, e in enumerate(mono, 1))
+def _mul_cols(algebra: Profile, side: str, a: MilnorElement, d: int) -> tuple[int, ...]:
+    """Matrix of x -> x * a (side "r") or x -> a * x (side "l") from degree d.
 
-
-def _mul_dense(algebra: Profile, side: str, mono: tuple[int, ...], d: int) -> np.ndarray:
-    """Matrix of x -> x * mono (side "r") or x -> mono * x (side "l") from
-    degree d, columns over the degree-d basis."""
-    key = (side, algebra.exponents, mono, d)
+    Layout: one Python int per column, column j for the j-th basis monomial
+    of degree d; bit k of a column is the coefficient of the k-th basis
+    monomial of degree d + |a|.  Tables are keyed by the whole element, so a
+    block of a differential is one lookup however many terms it has.
+    """
+    key = (side, algebra.exponents, a.terms, d)
     out = _mul_cache.get(key)
     if out is None:
         src = basis_in_degree(algebra, d)
-        tgt_pos = _mono_positions(algebra, d + _mono_degree(mono))
-        out = np.zeros((len(tgt_pos), len(src)), dtype=np.uint8)
-        fixed = MilnorElement(algebra, frozenset([mono]))
-        for j, m in enumerate(src):
-            x = MilnorElement(algebra, frozenset([m]))
-            prod = milnor_product(x, fixed) if side == "r" else milnor_product(fixed, x)
-            for term in prod.terms:
-                out[tgt_pos[term], j] ^= 1
-        out.setflags(write=False)
+        cols = [0] * len(src)
+        if not a.is_zero:
+            tgt_pos = _mono_positions(algebra, d + a.degree)
+            for j, m in enumerate(src):
+                x = MilnorElement(algebra, frozenset([m]))
+                prod = milnor_product(x, a) if side == "r" else milnor_product(a, x)
+                for term in prod.terms:
+                    cols[j] |= 1 << tgt_pos[term]
+        out = tuple(cols)
         _mul_cache[key] = out
     return out
+
+
+def _dense_from_cols(cols: Sequence[int], rows: int) -> np.ndarray:
+    """The rows x len(cols) 0/1 matrix whose column j has bit k at row k."""
+    return np.ascontiguousarray(gf2._unpack_ints(cols, rows).T)
+
+
+def _segments(bits: int, offsets: Sequence[int], total: int):
+    """(block index, block bits) for each nonzero block of a packed vector
+    laid out by ``block_layout`` offsets."""
+    last = len(offsets) - 1
+    for i, lo in enumerate(offsets):
+        high = bits >> lo
+        if not high:
+            return
+        hi = offsets[i + 1] if i < last else total
+        seg = high & ((1 << (hi - lo)) - 1)
+        if seg:
+            yield i, seg
+
+
+def _set_bits(x: int):
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 # ----- free complexes -----
@@ -161,35 +189,28 @@ class FreeComplex:
 
     def vector_to_rows(self, s: int, t: int, vec: np.ndarray) -> DiffRow:
         """Read a coordinate vector back as (generator, element) pairs."""
-        offsets, _ = self.block_layout(s, t)
+        offsets, total = self.block_layout(s, t)
         row: list[tuple[int, MilnorElement]] = []
-        for h, g in enumerate(self.level_gens(s)):
-            d = t - g.t
-            if d < 0:
-                continue
-            monos = basis_in_degree(self.algebra, d)
-            seg = vec[offsets[h] : offsets[h] + len(monos)]
-            terms = frozenset(monos[int(j)] for j in np.nonzero(seg)[0])
-            if terms:
-                row.append((h, MilnorElement(self.algebra, terms)))
+        for h, seg in _segments(gf2._vector_int(vec, total), offsets, total):
+            monos = basis_in_degree(self.algebra, t - self.gens[s][h].t)
+            row.append((h, MilnorElement(self.algebra, frozenset(monos[j] for j in _set_bits(seg)))))
         return tuple(row)
 
     def diff_dense(self, s: int, t: int) -> np.ndarray:
         """Dense matrix of d: level s -> level s-1 in internal degree t."""
         rows_off, rows_total = self.block_layout(s - 1, t)
         cols_off, cols_total = self.block_layout(s, t)
-        dense = np.zeros((rows_total, cols_total), dtype=np.uint8)
+        cols = [0] * cols_total
+        ends = cols_off[1:] + (cols_total,)
         for i, g in enumerate(self.level_gens(s)):
-            d_src = t - g.t
-            if d_src < 0:
+            if ends[i] == cols_off[i]:
+                # below the generator, or above the top of a finite algebra
                 continue
             for h, a in self.diff[s][i]:
-                for mono in a.terms:
-                    block = _mul_dense(self.algebra, "r", mono, d_src)
-                    r0 = rows_off[h]
-                    c0 = cols_off[i]
-                    dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] ^= block
-        return dense
+                r0 = rows_off[h]
+                for j, col in enumerate(_mul_cols(self.algebra, "r", a, t - g.t), cols_off[i]):
+                    cols[j] ^= col << r0
+        return _dense_from_cols(cols, rows_total)
 
     def diff_matrix(self, s: int, t: int) -> gf2.BitMatrix:
         key = (s, t)
@@ -210,25 +231,17 @@ class FreeComplex:
     def apply_element(self, a: MilnorElement, s: int, t: int, vec: np.ndarray) -> np.ndarray:
         """Left-multiply a degree-t coordinate vector of level s by a."""
         t_out = t + (a.degree or 0)
-        out = np.zeros(self.free_dim(s, t_out), dtype=np.uint8)
-        if a.is_zero:
-            return out
-        offs_in, _ = self.block_layout(s, t)
-        offs_out, _ = self.block_layout(s, t_out)
-        for i, g in enumerate(self.level_gens(s)):
-            d = t - g.t
-            if d < 0:
-                continue
-            width = len(basis_in_degree(self.algebra, d))
-            if width == 0:
-                continue
-            seg = vec[offs_in[i] : offs_in[i] + width]
-            if not seg.any():
-                continue
-            for mono in a.terms:
-                block = _mul_dense(self.algebra, "l", mono, d)
-                out[offs_out[i] : offs_out[i] + block.shape[0]] ^= (block @ seg) % 2
-        return out
+        offs_in, total_in = self.block_layout(s, t)
+        offs_out, total_out = self.block_layout(s, t_out)
+        acc = 0
+        if not a.is_zero:
+            for i, seg in _segments(gf2._vector_int(vec, total_in), offs_in, total_in):
+                table = _mul_cols(self.algebra, "l", a, t - self.gens[s][i].t)
+                part = 0
+                for j in _set_bits(seg):
+                    part ^= table[j]
+                acc ^= part << offs_out[i]
+        return gf2._unpack_ints([acc], total_out)[0]
 
     def verify_d_squared(self, t_limit: Optional[int] = None) -> None:
         limit = self.max_t if t_limit is None else t_limit
@@ -296,6 +309,22 @@ class FreeResolution(FreeComplex):
                         raise ResolutionError(
                             f"unit coefficient from level-{s} generator t={g.t}"
                         )
+
+    def verify_exact(self) -> None:
+        """dim F_{s,t} = rank d_{s,t} + rank d_{s+1,t} for 0 <= s < max_s and
+        t <= max_t, plus one at (0, 0) for the augmentation.  Unlike d^2 = 0
+        and minimality, this catches a missed generator."""
+        for t in range(self.max_t + 1):
+            rank_below = 0  # d_{0,t} maps to nothing
+            for s in range(self.max_s):
+                rank_above = gf2.rank(self.diff_matrix(s + 1, t))
+                dim = self.free_dim(s, t)
+                if dim != rank_below + rank_above + (s == t == 0):
+                    raise ResolutionError(
+                        f"not exact at level {s}, degree {t}: dim {dim}, "
+                        f"ranks {rank_below} below and {rank_above} above"
+                    )
+                rank_below = rank_above
 
 
 class CellObject(FreeComplex):
@@ -730,70 +759,6 @@ def install_named_product(chart: ExtChart, name: str) -> bool:
     return True
 
 
-def install_cell_product(chart: ExtChart, name: str, sphere_res: FreeResolution) -> bool:
-    """Install a named class action on a cell-object chart.
-
-    The acting chain self-map lifts the pullback of the sphere cocycle along
-    the bottom-cell projection.  Lift classes with vanishing bottom
-    restriction could act differently; each such class is lifted too and the
-    induced matrices compared, so ambiguity is detected and noted rather
-    than silently resolved.
-    """
-    X = chart.source
-    if X is None or chart.module is None:
-        raise ResolutionError("cell products need a chart with runtime handles")
-    try:
-        s0, t0, _ = sphere_class_seed(sphere_res, name)
-    except ResolutionError as exc:
-        chart.notes[f"product_{name}"] = f"not installed: {exc}"
-        return False
-    bottom = min(range(len(X.cells)), key=lambda i: (X.cells[i].stem, X.cells[i].filt))
-    seed = {
-        i: 1
-        for i, g in enumerate(X.level_gens(s0))
-        if g.t == t0 and g.cell == bottom
-    }
-    try:
-        lifted = lift_cocycle(X, s0, t0, seed)
-    except LiftError as exc:
-        chart.notes[f"product_{name}"] = f"not installed: {exc}"
-        return False
-    mats = {
-        spot: _product_matrix_at(chart, lifted, spot)
-        for spot in sorted(chart.dims)
-        if spot[0] + s0 <= chart.max_s and spot[1] + t0 <= chart.max_t
-    }
-    # ambiguity group: lift classes restricting to zero on the bottom cell
-    local = _local_cohomology(X, s0, t0)
-    spot_gens = _trivial_layout(X, s0, t0)
-    ambiguous_spots: set[tuple[int, int]] = set()
-    unresolved = False
-    for rep in local.rep_vectors:
-        if any(rep[p] for p, i in enumerate(spot_gens) if X.gens[s0][i].cell == bottom):
-            continue
-        k_seed = {i: int(rep[p]) for p, i in enumerate(spot_gens)}
-        if not any(k_seed.values()):
-            continue
-        try:
-            k_lift = lift_cocycle(X, s0, t0, k_seed)
-        except LiftError:
-            unresolved = True
-            continue
-        for spot in mats:
-            if not _product_matrix_at(chart, k_lift, spot).is_zero():
-                ambiguous_spots.add(spot)
-    if unresolved:
-        chart.notes[f"product_{name}"] = (
-            "ambiguity unresolved: a bottom-vanishing lift class did not lift"
-        )
-    elif ambiguous_spots:
-        chart.notes[f"product_{name}"] = (
-            "action ambiguous at " + ", ".join(map(str, sorted(ambiguous_spots)))
-        )
-    chart.products[name] = mats
-    return True
-
-
 def _product_matrix_at(
     chart: ExtChart, lifted: "ChainMap", spot: tuple[int, int]
 ) -> gf2.BitMatrix:
@@ -1027,11 +992,6 @@ def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
             cm.rows[(s - 1, h)] = ((cm.rows[(s - 1, h)] + (kern.T @ combo)) % 2).astype(np.uint8)
     for i in range(len(gens_s)):
         cm.rows[(s, i)] = sol[x_off[i] : x_off[i + 1]].astype(np.uint8)
-
-
-def lift_chain_map(res: FreeResolution, s0: int, t0: int, cocycle: dict[int, int]) -> ChainMap:
-    """Lift an Ext class representative over the minimal resolution."""
-    return lift_cocycle(res, s0, t0, cocycle)
 
 
 # ----- chart classes and Yoneda products -----
@@ -1268,7 +1228,7 @@ def select_self_map(
         src, src_total = layout(k)
         tgt, tgt_total = layout(k + 1)
         src_pos = {(s, i): (off, size) for s, i, off, size in src}
-        dense = np.zeros((tgt_total, src_total), dtype=np.uint8)
+        cols = [0] * src_total
         for s, i, off, size in tgt:
             g = X.gens[s][i]
             rows_here = X.free_dim(s - k - 1, g.t - t0)
@@ -1282,26 +1242,22 @@ def select_self_map(
                 hg = X.gens[s - 1][h]
                 offs_in, _ = X.block_layout(s - 1 - k, hg.t - t0)
                 offs_out, _ = X.block_layout(s - 1 - k, g.t - t0)
-                for mono in a.terms:
-                    for bi, bg in enumerate(X.level_gens(s - 1 - k)):
-                        d = hg.t - t0 - bg.t
-                        if d < 0:
-                            continue
-                        width = len(basis_in_degree(X.algebra, d))
-                        if width == 0:
-                            continue
-                        blk = _mul_dense(X.algebra, "l", mono, d)
-                        dense[
-                            off + offs_out[bi] : off + offs_out[bi] + blk.shape[0],
-                            hp[0] + offs_in[bi] : hp[0] + offs_in[bi] + width,
-                        ] ^= blk
+                for bi, bg in enumerate(X.level_gens(s - 1 - k)):
+                    d = hg.t - t0 - bg.t
+                    if d < 0 or not basis_in_degree(X.algebra, d):
+                        continue
+                    r0 = off + offs_out[bi]
+                    for j, col in enumerate(_mul_cols(X.algebra, "l", a, d), hp[0] + offs_in[bi]):
+                        cols[j] ^= col << r0
             # term d(phi g)
             gp = src_pos.get((s, i))
             if gp is not None and gp[1]:
                 mat = X.diff_matrix(s - k, g.t - t0)
                 if mat.rows:
-                    dense[off : off + mat.rows, gp[0] : gp[0] + mat.cols] ^= mat.to_dense()
-        return dense
+                    mat_cols = gf2.BitMatrix.from_dense(mat.to_dense().T).int_rows()
+                    for j, col in enumerate(mat_cols, gp[0]):
+                        cols[j] ^= col << off
+        return _dense_from_cols(cols, tgt_total)
 
     d_cur = gf2.Solver(gf2.BitMatrix.from_dense(dmat(s0)))
     d_prev = dmat(s0 - 1) if s0 >= 1 else None
@@ -1413,7 +1369,7 @@ def attaching_action(
     }
 
 
-# ----- long exact sequence consistency and periodicity -----
+# ----- long exact sequence consistency -----
 
 
 @dataclass(frozen=True)
@@ -1460,46 +1416,6 @@ def les_consistency(
             if predicted != actual:
                 failures.append((s, t, actual, predicted))
     return LesReport(checked, tuple(failures))
-
-
-@dataclass(frozen=True)
-class PeriodicityReport:
-    shift: tuple[int, int]
-    checked: int
-    failures: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def periodicity_report(
-    chart: ExtChart,
-    shift: tuple[int, int],
-    min_filt_of_stem,
-    stem_range: tuple[int, int],
-) -> PeriodicityReport:
-    """Dimension match under a periodicity shift above a configurable edge.
-
-    ``min_filt_of_stem(stem)`` gives the lower filtration edge above which
-    periodicity is asserted; both bidegrees must land inside the window.
-    """
-    ds, dt = shift
-    failures = []
-    checked = 0
-    for stem in range(stem_range[0], stem_range[1] + 1):
-        s = 0
-        while True:
-            t = stem + s
-            if t + dt > chart.max_t or s + ds > chart.max_s:
-                break
-            if s >= min_filt_of_stem(stem):
-                checked += 1
-                a, b = chart.dim(s, t), chart.dim(s + ds, t + dt)
-                if a != b:
-                    failures.append((s, t, a, b))
-            s += 1
-    return PeriodicityReport(shift, checked, tuple(failures))
 
 
 def vanishing_edge(chart: ExtChart, slope: Fraction = Fraction(1, 5), min_stem: int = 0) -> Fraction:

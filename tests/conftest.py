@@ -30,6 +30,7 @@ def res_a2() -> R.FreeResolution:
     res = R.minimal_resolution(milnor.A2, 30, 92)
     res.verify_d_squared()
     res.verify_minimal()
+    res.verify_exact()
     return res
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from extforge import cli
+from extforge import cli, resolution
 
 
 def run(argv, capsys=None):
@@ -124,6 +124,23 @@ def test_ext_svg_and_json_formats(tmp_path, capsys):
     assert svg.startswith("<?xml")
     doc = json.loads((tmp_path / "ext-f2-A1-s5-t15.json").read_text())
     assert doc["coefficients"] == "F2" and doc["dims"]
+
+
+def test_ext_warm_cache_repeats_cold_output(tmp_path, capsys):
+    args = [
+        "ext", "h8v18", "--algebra", "A2", "--max-s", "4", "--max-t", "30",
+        "--format", "json", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    name = "ext-h8v18-A2-s4-t30.json"
+    code, out, _ = run(args + ["--out", str(tmp_path / "cold")], capsys)
+    assert code == 0 and "computed and cached" in out
+    # a fresh process would start without multiplication tables
+    resolution._mul_cache.clear()
+    code, out, _ = run(args + ["--out", str(tmp_path / "warm")], capsys)
+    assert code == 0 and "cache hit" in out
+    cold = (tmp_path / "cold" / name).read_bytes()
+    assert json.loads(cold)["self_map_selections"] == {"h8v18": [1]}
+    assert (tmp_path / "warm" / name).read_bytes() == cold
 
 
 def test_ext_window_filter(tmp_path, capsys):

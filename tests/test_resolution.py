@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extforge import charts, gf2, milnor, modules
 from extforge import resolution as R
@@ -193,3 +195,107 @@ def test_permuted_basis_gives_identical_chart(res_a2_small):
     b = R.ext_module(res_a2_small, permuted, "m", max_s=8, max_t=24, with_reps=False)
     assert a.dims == b.dims
     assert charts.render_tsv(a) == charts.render_tsv(b)
+
+
+# ----- element tables against the per-monomial assembly -----
+
+_REF_BLOCKS: dict = {}
+
+
+def _reference_block(algebra, side, mono, d):
+    """Matrix of x -> x * mono (side "r") or mono * x (side "l") from degree
+    d, built one product at a time."""
+    key = (side, algebra, mono, d)
+    if key not in _REF_BLOCKS:
+        src = milnor.basis_in_degree(algebra, d)
+        tgt = milnor.basis_in_degree(algebra, d + milnor.monomial_degree(mono))
+        pos = {m: k for k, m in enumerate(tgt)}
+        fixed = milnor.MilnorElement(algebra, frozenset([mono]))
+        block = np.zeros((len(tgt), len(src)), dtype=np.uint8)
+        for j, m in enumerate(src):
+            x = milnor.MilnorElement(algebra, frozenset([m]))
+            prod = milnor.milnor_product(x, fixed) if side == "r" else milnor.milnor_product(fixed, x)
+            for term in prod.terms:
+                block[pos[term], j] ^= 1
+        _REF_BLOCKS[key] = block
+    return _REF_BLOCKS[key]
+
+
+def _reference_offsets(cplx, s, t):
+    offsets, total = [], 0
+    for g in cplx.level_gens(s):
+        offsets.append(total)
+        total += len(milnor.basis_in_degree(cplx.algebra, t - g.t))
+    return offsets, total
+
+
+def _reference_diff(cplx, s, t):
+    rows_off, rows_total = _reference_offsets(cplx, s - 1, t)
+    cols_off, cols_total = _reference_offsets(cplx, s, t)
+    dense = np.zeros((rows_total, cols_total), dtype=np.uint8)
+    for i, g in enumerate(cplx.level_gens(s)):
+        for h, a in cplx.diff[s][i]:
+            for mono in a.terms:
+                block = _reference_block(cplx.algebra, "r", mono, t - g.t)
+                r0, c0 = rows_off[h], cols_off[i]
+                dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] ^= block
+    return dense
+
+
+def _reference_apply(cplx, a, s, t, vec):
+    offs_in, _ = _reference_offsets(cplx, s, t)
+    offs_out, total_out = _reference_offsets(cplx, s, t + (a.degree or 0))
+    out = np.zeros(total_out, dtype=np.uint8)
+    for i, g in enumerate(cplx.level_gens(s)):
+        width = len(milnor.basis_in_degree(cplx.algebra, t - g.t))
+        seg = vec[offs_in[i] : offs_in[i] + width]
+        for mono in a.terms:
+            block = _reference_block(cplx.algebra, "l", mono, t - g.t)
+            out[offs_out[i] : offs_out[i] + block.shape[0]] ^= (block @ seg) % 2
+    return out
+
+
+@pytest.fixture(scope="module")
+def h8_small(res_a2_small):
+    return R.cone(res_a2_small, 3, 3)
+
+
+def test_diff_dense_matches_per_monomial_assembly(res_a1_small, res_a2_small, h8_small):
+    for cplx in (res_a1_small, res_a2_small, h8_small):
+        for s in range(len(cplx.gens)):
+            for t in range(cplx.max_t + 1):
+                got = cplx.diff_dense(s, t)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, _reference_diff(cplx, s, t)), (s, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_element_matches_per_monomial_assembly(res_a2_small, data):
+    cplx = res_a2_small
+    s = data.draw(st.integers(0, len(cplx.gens) - 1), label="s")
+    # source degrees run past 23, where A(2) has no basis
+    t = data.draw(st.integers(0, cplx.max_t + 6), label="t")
+    k = data.draw(st.integers(0, 23), label="|a|")
+    basis = milnor.basis_in_degree(milnor.A2, k)
+    terms = data.draw(st.sets(st.sampled_from(basis)), label="terms") if basis else set()
+    a = milnor.MilnorElement(milnor.A2, frozenset(terms))
+    n = cplx.free_dim(s, t)
+    bits = data.draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)), label="vec")
+    vec = np.array([(bits >> c) & 1 for c in range(n)], dtype=np.uint8)
+    got = cplx.apply_element(a, s, t, vec)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _reference_apply(cplx, a, s, t, vec))
+
+
+def test_apply_element_edge_cases(res_a2_small):
+    cplx = res_a2_small
+    sq4 = milnor.MilnorElement.sq(milnor.A2, 4)
+    s, t = 5, 30
+    assert any(t - g.t > 23 for g in cplx.level_gens(s))
+    n = cplx.free_dim(s, t)
+    for vec in (np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
+        for a in (sq4, milnor.MilnorElement.zero(milnor.A2), milnor.MilnorElement.unit(milnor.A2)):
+            got = cplx.apply_element(a, s, t, vec)
+            assert np.array_equal(got, _reference_apply(cplx, a, s, t, vec))
+    assert not cplx.apply_element(sq4, s, t, np.zeros(n, dtype=np.uint8)).any()
