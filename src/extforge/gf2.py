@@ -18,8 +18,10 @@ solution with every free variable zero -- depends only on the matrix,
 never on the elimination order, and is reproducible across runs,
 platforms and worker counts.
 
-:class:`BitMatrix` stores rows packed 64 columns per uint64 word for
-hashing, products and serialisation.
+:class:`BitMatrix` stores its rows in the same format, one Python int per
+row, so the engine assembles matrices by XORing shifted int rows and hands
+them to the elimination without converting; uint8 0/1 arrays appear only
+at the edges (``from_dense``/``to_dense``, solve right sides and results).
 """
 
 from __future__ import annotations
@@ -27,20 +29,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-_WORD = 64
-
-
-def _words_for(cols: int) -> int:
-    return (max(cols, 1) + _WORD - 1) // _WORD
-
-
-def _pack_dense(dense: np.ndarray) -> np.ndarray:
-    rows, cols = dense.shape
-    out = np.zeros((rows, 8 * _words_for(cols)), dtype=np.uint8)
-    out[:, : (cols + 7) // 8] = np.packbits(dense, axis=1, bitorder="little")
-    return out.view("<u8").astype(np.uint64, copy=False)
-
 
 def _vector_int(vector, length: int) -> int:
     """A 0/1 vector as an int, bit c = entry c."""
@@ -58,93 +46,84 @@ def _unpack_ints(rows: Sequence[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
-class BitMatrix:
-    """Immutable rows x cols matrix over GF(2) with uint64-packed rows.
+def _set_bits(x: int):
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    Bits beyond ``cols`` in the last word of each row are kept zero, so
-    equality and hashing can work on the raw payload.
+
+class BitMatrix:
+    """Immutable rows x cols matrix over GF(2), one Python int per row.
+
+    Bit c of ``row_bits[r]`` is entry (r, c).  The constructor rejects a
+    wrong row count and any bit at or above ``cols``, so equal matrices
+    have equal payloads and hash alike.
     """
 
-    __slots__ = ("rows", "cols", "bits")
+    __slots__ = ("rows", "cols", "row_bits")
 
-    def __init__(self, rows: int, cols: int, bits: np.ndarray):
+    def __init__(self, rows: int, cols: int, row_bits: Iterable[int]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        words = _words_for(cols)
-        if bits.shape != (rows, words) or bits.dtype != np.uint64:
-            raise ValueError(f"payload shape {bits.shape} does not match {rows}x{cols}")
-        bits = np.ascontiguousarray(bits)
-        # mask tail bits so the payload is canonical
-        tail = cols % _WORD
-        if cols and tail:
-            mask = np.uint64((1 << tail) - 1)
-            bits[:, -1] &= mask
-        elif cols == 0:
-            bits[:] = 0
-        bits.flags.writeable = False
+        row_bits = tuple(row_bits)
+        if len(row_bits) != rows:
+            raise ValueError(f"{len(row_bits)} rows given for a {rows}x{cols} matrix")
+        if row_bits and (min(row_bits) < 0 or max(row_bits).bit_length() > cols):
+            raise ValueError(f"a row has a bit outside {cols} columns")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "row_bits", row_bits)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("BitMatrix is immutable")
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "BitMatrix":
-        return BitMatrix(rows, cols, np.zeros((rows, _words_for(cols)), dtype=np.uint64))
+        return BitMatrix(rows, cols, (0,) * rows)
 
     @staticmethod
     def identity(n: int) -> "BitMatrix":
-        bits = np.zeros((n, _words_for(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        bits[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-        return BitMatrix(n, n, bits)
+        return BitMatrix(n, n, [1 << i for i in range(n)])
 
     @staticmethod
     def from_dense(dense) -> "BitMatrix":
         arr = np.asarray(dense, dtype=np.uint8) & 1
         if arr.ndim != 2:
             raise ValueError("dense payload must be 2-dimensional")
-        return BitMatrix(arr.shape[0], arr.shape[1], _pack_dense(arr))
+        packed = np.packbits(arr, axis=1, bitorder="little")
+        return BitMatrix(*arr.shape, [int.from_bytes(row.tobytes(), "little") for row in packed])
 
     @staticmethod
     def from_support(rows: int, cols: int, support: Iterable[Iterable[int]]) -> "BitMatrix":
-        """Build from an iterable of per-row column-index iterables."""
-        bits = np.zeros((rows, _words_for(cols)), dtype=np.uint64)
+        """Build from an iterable of per-row column-index iterables; a
+        column listed twice in one row cancels."""
+        out = [0] * rows
         for r, row_cols in enumerate(support):
             for c in row_cols:
                 if not 0 <= c < cols:
                     raise ValueError(f"column {c} out of range")
-                bits[r, c >> 6] ^= np.uint64(1) << np.uint64(c & 63)
-        return BitMatrix(rows, cols, bits)
+                out[r] ^= 1 << int(c)
+        return BitMatrix(rows, cols, out)
 
     def to_dense(self) -> np.ndarray:
-        octets = self.bits.astype("<u8", copy=False).view(np.uint8)
-        return np.unpackbits(octets, axis=1, count=self.cols, bitorder="little")
+        return _unpack_ints(self.row_bits, self.cols)
 
     def int_rows(self) -> list[int]:
         """The rows as ints, bit c = column c."""
-        raw = self.bits.astype("<u8", copy=False).tobytes()
-        step = 8 * self.bits.shape[1]
-        return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+        return list(self.row_bits)
 
     def get(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
-        return int((self.bits[r, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))
+        return (self.row_bits[r] >> c) & 1
 
     def row_support(self, r: int) -> tuple[int, ...]:
-        out = []
-        for w in range(self.bits.shape[1]):
-            word = int(self.bits[r, w])
-            while word:
-                low = word & -word
-                out.append(w * _WORD + low.bit_length() - 1)
-                word ^= low
-        return tuple(out)
+        return tuple(_set_bits(self.row_bits[r]))
 
     def is_zero(self) -> bool:
-        return not self.bits.any()
+        return not any(self.row_bits)
 
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
@@ -152,22 +131,18 @@ class BitMatrix:
     def xor(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return BitMatrix(self.rows, self.cols, self.bits ^ other.bits)
-
-    def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
-        idx = np.asarray(indices, dtype=np.intp)
-        return BitMatrix(len(idx), self.cols, self.bits[idx].copy())
+        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self.row_bits, other.row_bits)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and bool(np.array_equal(self.bits, other.bits))
+            and self.row_bits == other.row_bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.bits.tobytes()))
+        return hash((self.rows, self.cols, self.row_bits))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -203,7 +178,7 @@ class Solver:
         self._relations: list[int] = []
         self._reduced: Optional[list[tuple[int, int]]] = None
         cols = m.cols
-        for i, row in enumerate(m.int_rows()):
+        for i, row in enumerate(m.row_bits):
             row = _reduce(self._pivots, row | (1 << (cols + i)))
             low = (row & -row).bit_length() - 1
             if low < cols:
@@ -287,11 +262,13 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) matrix product a @ b."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch {a.cols} vs {b.rows}")
-    out = np.zeros((a.rows, b.bits.shape[1]), dtype=np.uint64)
-    for i in range(a.rows):
-        sup = a.row_support(i)
-        if sup:
-            out[i] = np.bitwise_xor.reduce(b.bits[np.asarray(sup, dtype=np.intp)], axis=0)
+    rows = b.row_bits
+    out = []
+    for row in a.row_bits:
+        acc = 0
+        for k in _set_bits(row):
+            acc ^= rows[k]
+        out.append(acc)
     return BitMatrix(a.rows, b.cols, out)
 
 
@@ -375,8 +352,9 @@ class IncrementalSpan:
         return self._insert(_vector_int(vector, self.cols))
 
     def extend(self, rows) -> np.ndarray:
-        """Add the rows of a 0/1 array in order; a mask of those that enlarged the span."""
-        m = BitMatrix.from_dense(rows)
+        """Add the rows of a BitMatrix or a 0/1 array in order; a mask of
+        those that enlarged the span."""
+        m = rows if isinstance(rows, BitMatrix) else BitMatrix.from_dense(rows)
         if m.cols != self.cols:
             raise ValueError(f"rows have {m.cols} columns, the span {self.cols}")
-        return np.array([self._insert(row) for row in m.int_rows()], dtype=bool)
+        return np.array([self._insert(row) for row in m.row_bits], dtype=bool)

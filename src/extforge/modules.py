@@ -19,7 +19,6 @@ positive part of A//A(2)*, tensor products, and duals.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -258,9 +257,6 @@ class FiniteModule:
     def top_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def bottom_degree(self) -> int:
-        return min(self.degrees(), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteModule)
@@ -357,11 +353,11 @@ class FiniteModule:
         src = self.basis_in_degree(source_degree)
         tgt = self.basis_in_degree(target_degree)
         tgt_pos = {g: p for p, g in enumerate(tgt)}
-        dense = np.zeros((len(tgt), len(src)), dtype=np.uint8)
+        rows = [0] * len(tgt)
         for col, i in enumerate(src):
             for j in self._act_element_on_index(a, i):
-                dense[tgt_pos[j], col] ^= 1
-        return gf2.BitMatrix.from_dense(dense)
+                rows[tgt_pos[j]] ^= 1 << col
+        return gf2.BitMatrix(len(tgt), len(src), rows)
 
     def monomial_action_matrix(self, mono: tuple[int, ...], source_degree: int) -> gf2.BitMatrix:
         key = (mono, source_degree)
@@ -376,12 +372,9 @@ class FiniteModule:
     def generator_action_matrix(self, k: int) -> gf2.BitMatrix:
         """Whole-module matrix for Sq(2^k): entry (i, j) set when basis j
         appears in Sq(2^k) acting on basis i."""
-        dense = np.zeros((self.dimension, self.dimension), dtype=np.uint8)
         mono = normalize_monomial((1 << k,))
-        for i in range(self.dimension):
-            for j in self._act_monomial_on_index(mono, i):
-                dense[i, j] ^= 1
-        return gf2.BitMatrix.from_dense(dense)
+        rows = [sum(1 << j for j in self._act_monomial_on_index(mono, i)) for i in range(self.dimension)]
+        return gf2.BitMatrix(self.dimension, self.dimension, rows)
 
     # ----- serialization -----
 
@@ -402,10 +395,6 @@ class FiniteModule:
             ],
         }
 
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=0, sort_keys=True)
-
     @staticmethod
     def from_json_dict(doc: dict, validate: bool = True) -> "FiniteModule":
         if doc.get("format_version") != FORMAT_VERSION:
@@ -419,11 +408,6 @@ class FiniteModule:
         else:
             coaction = _coaction_from_generator_actions(algebra, basis, doc["actions"])
         return FiniteModule(algebra, basis, coaction, name=doc.get("name", ""), validate=validate)
-
-    @staticmethod
-    def load_json(path, validate: bool = True) -> "FiniteModule":
-        with open(path) as fh:
-            return FiniteModule.from_json_dict(json.load(fh), validate=validate)
 
 
 def _coaction_from_generator_actions(

@@ -81,11 +81,6 @@ def _mul_cols(algebra: Profile, side: str, a: MilnorElement, d: int) -> tuple[in
     return out
 
 
-def _dense_from_cols(cols: Sequence[int], rows: int) -> np.ndarray:
-    """The rows x len(cols) 0/1 matrix whose column j has bit k at row k."""
-    return np.ascontiguousarray(gf2._unpack_ints(cols, rows).T)
-
-
 def _segments(bits: int, offsets: Sequence[int], total: int):
     """(block index, block bits) for each nonzero block of a packed vector
     laid out by ``block_layout`` offsets."""
@@ -98,14 +93,6 @@ def _segments(bits: int, offsets: Sequence[int], total: int):
         seg = high & ((1 << (hi - lo)) - 1)
         if seg:
             yield i, seg
-
-
-def _set_bits(x: int):
-    """Positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 # ----- free complexes -----
@@ -193,7 +180,7 @@ class FreeComplex:
         row: list[tuple[int, MilnorElement]] = []
         for h, seg in _segments(gf2._vector_int(vec, total), offsets, total):
             monos = basis_in_degree(self.algebra, t - self.gens[s][h].t)
-            row.append((h, MilnorElement(self.algebra, frozenset(monos[j] for j in _set_bits(seg)))))
+            row.append((h, MilnorElement(self.algebra, frozenset(monos[j] for j in gf2._set_bits(seg)))))
         return tuple(row)
 
     def diff_dense(self, s: int, t: int) -> np.ndarray:
@@ -210,7 +197,7 @@ class FreeComplex:
                 r0 = rows_off[h]
                 for j, col in enumerate(_mul_cols(self.algebra, "r", a, t - g.t), cols_off[i]):
                     cols[j] ^= col << r0
-        return _dense_from_cols(cols, rows_total)
+        return np.ascontiguousarray(gf2._unpack_ints(cols, rows_total).T)
 
     def diff_matrix(self, s: int, t: int) -> gf2.BitMatrix:
         key = (s, t)
@@ -238,7 +225,7 @@ class FreeComplex:
             for i, seg in _segments(gf2._vector_int(vec, total_in), offs_in, total_in):
                 table = _mul_cols(self.algebra, "l", a, t - self.gens[s][i].t)
                 part = 0
-                for j in _set_bits(seg):
+                for j in gf2._set_bits(seg):
                     part ^= table[j]
                 acc ^= part << offs_out[i]
         return gf2._unpack_ints([acc], total_out)[0]
@@ -298,9 +285,6 @@ class FreeComplex:
 class FreeResolution(FreeComplex):
     """Minimal resolution of the trivial module (single 0-cell)."""
 
-    def generator_degrees(self, s: int) -> tuple[int, ...]:
-        return tuple(g.t for g in self.level_gens(s))
-
     def verify_minimal(self) -> None:
         for s in range(1, len(self.gens)):
             for i, g in enumerate(self.gens[s]):
@@ -352,10 +336,7 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
             if s == 1:
                 kernel_rows = np.eye(res.free_dim(0, t), dtype=np.uint8)
             else:
-                mat = dense_at.get(s - 1)
-                if mat is None:
-                    mat = res.diff_dense(s - 1, t)
-                kernel_rows = gf2.kernel_basis(gf2.BitMatrix.from_dense(mat)).to_dense()
+                kernel_rows = gf2.kernel_basis(gf2.BitMatrix.from_dense(dense_at[s - 1])).to_dense()
             image = res.diff_dense(s, t)
             if kernel_rows.shape[0] == 0:
                 dense_at[s] = image
@@ -402,9 +383,6 @@ class ExtChart:
 
     def nonzero(self) -> list[tuple[int, int]]:
         return sorted(self.dims)
-
-    def product_shift(self, name: str) -> tuple[int, int]:
-        return NAMED_CLASS_BIDEGREES[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -489,47 +467,51 @@ def _hom_layout(cplx: FreeComplex, M: FiniteModule, s: int, t: int):
     return offsets, total
 
 
-def _hom_delta_dense(
-    cplx: FreeComplex, M: FiniteModule, s: int, t: int, dense_cache: Optional[dict] = None
-) -> np.ndarray:
-    """Matrix of delta: Hom^{s,t} -> Hom^{s+1,t}."""
+def _hom_delta(
+    cplx: FreeComplex, M: FiniteModule, s: int, t: int, cache: Optional[dict] = None
+) -> gf2.BitMatrix:
+    """Matrix of delta: Hom^{s,t} -> Hom^{s+1,t}.
+
+    Row r of the block of target generator g' is the XOR, over the terms
+    (h, a) of d(g'), of row r of the action of a on M shifted to the
+    columns of h.  ``cache`` may hold those action rows across calls.
+    """
+    if cache is None:
+        cache = {}
     src_off, src_total = _hom_layout(cplx, M, s, t)
-    tgt_off, tgt_total = _hom_layout(cplx, M, s + 1, t)
-    dense = np.zeros((tgt_total, src_total), dtype=np.uint8)
-    if s + 1 >= len(cplx.gens):
-        return dense
-    for gp in range(len(cplx.gens[s + 1])):
-        if M.dimension_in(t - cplx.gens[s + 1][gp].t) == 0:
+    rows: list[int] = []
+    for gp, g in enumerate(cplx.level_gens(s + 1)):
+        block = [0] * M.dimension_in(t - g.t)
+        if not block:
             continue
         for h, a in cplx.diff[s + 1][gp]:
             d_src = t - cplx.gens[s][h].t
             if M.dimension_in(d_src) == 0:
                 continue
-            for mono in a.terms:
-                # keyed by module identity too: callers may share one cache
-                # across charts with different coefficients
-                key = (id(M), mono, d_src)
-                bd = None if dense_cache is None else dense_cache.get(key)
-                if bd is None:
-                    bd = M.monomial_action_matrix(mono, d_src).to_dense()
-                    if dense_cache is not None:
-                        dense_cache[key] = bd
-                if bd.shape[0] == 0:
-                    continue
-                r0 = tgt_off[gp]
-                c0 = src_off[h]
-                dense[r0 : r0 + bd.shape[0], c0 : c0 + bd.shape[1]] ^= bd
-    return dense
+            # keyed by module identity too: callers may share one cache
+            # across charts with different coefficients
+            key = (id(M), a.terms, d_src)
+            act = cache.get(key)
+            if act is None:
+                act = cache[key] = [0] * len(block)
+                for mono in a.terms:
+                    for r, row in enumerate(M.monomial_action_matrix(mono, d_src).row_bits):
+                        act[r] ^= row
+            off = src_off[h]
+            for r, row in enumerate(act):
+                block[r] ^= row << off
+        rows.extend(block)
+    return gf2.BitMatrix(len(rows), src_total, rows)
 
 
-def _canonical_reps(delta_cur: gf2.Solver, prev_image_cols: Optional[np.ndarray]) -> CohomologyLocal:
-    """Cohomology data from the eliminated outgoing delta and the incoming image."""
-    kernel = delta_cur.kernel().to_dense()
+def _canonical_reps(delta_cur: gf2.Solver, prev_delta: Optional[gf2.BitMatrix]) -> CohomologyLocal:
+    """Cohomology data from the eliminated outgoing delta and the incoming one."""
+    kernel = delta_cur.kernel()
     boundary = gf2.IncrementalSpan(delta_cur.matrix.cols)
-    if prev_image_cols is not None:
-        boundary.extend(prev_image_cols.T)
-    reps = kernel[boundary.copy().extend(kernel)]
-    return CohomologyLocal(kernel, boundary, reps)
+    if prev_delta is not None:
+        boundary.extend(prev_delta.transpose())
+    cocycles = kernel.to_dense()
+    return CohomologyLocal(cocycles, boundary, cocycles[boundary.copy().extend(kernel)])
 
 
 def _provenance_of_class(
@@ -593,17 +575,16 @@ def ext_over_complex(
         module=M,
     )
     multi_cell = len(cplx.cells) > 1
-    dense_cache: dict = {}
+    cache: dict = {}
     for t in range(t_hi + 1):
-        prev_image: Optional[np.ndarray] = None
+        prev_delta: Optional[gf2.BitMatrix] = None
         prev_rank = 0
         for s in range(s_hi + 1):
             _, cur_total = _hom_layout(cplx, M, s, t)
             if cur_total == 0:
-                prev_image, prev_rank = None, 0
+                prev_delta, prev_rank = None, 0
                 continue
-            delta_dense = _hom_delta_dense(cplx, M, s, t, dense_cache)
-            delta = gf2.BitMatrix.from_dense(delta_dense)
+            delta = _hom_delta(cplx, M, s, t, cache)
             solver = gf2.Solver(delta)
             rank_cur = solver.rank
             dim = (cur_total - rank_cur) - prev_rank
@@ -611,7 +592,7 @@ def ext_over_complex(
                 chart.dims[(s, t)] = dim
                 stem = t - s
                 if with_reps:
-                    local = _canonical_reps(solver, prev_image)
+                    local = _canonical_reps(solver, prev_delta)
                     chart.reps[(s, t)] = local
                     prov = _provenance_of_class(cplx, M, s, t, delta, local)
                     chart.provenance[(s, t)] = prov
@@ -624,7 +605,7 @@ def ext_over_complex(
                     chart.labels[(s, t)] = tuple(
                         f"x_{{{stem},{s}}}({i + 1})" for i in range(dim)
                     )
-            prev_image = delta_dense
+            prev_delta = delta
             prev_rank = rank_cur
     return chart
 
@@ -663,12 +644,12 @@ def ext_dim_at(
     M: FiniteModule,
     s: int,
     t: int,
-    dense_cache: Optional[dict] = None,
+    cache: Optional[dict] = None,
 ) -> int:
     """Dimension of a single Hom-cohomology spot via two boundary ranks.
 
     Much cheaper than a full chart when only a handful of bidegrees are
-    needed; the optional cache shares dense action blocks across calls.
+    needed; the optional cache shares module action rows across calls.
     """
     if M.algebra != cplx.algebra:
         raise ResolutionError("algebra mismatch between complex and coefficients")
@@ -677,12 +658,8 @@ def ext_dim_at(
     _, cur_total = _hom_layout(cplx, M, s, t)
     if cur_total == 0:
         return 0
-    delta_out = gf2.BitMatrix.from_dense(_hom_delta_dense(cplx, M, s, t, dense_cache))
-    rank_out = gf2.rank(delta_out)
-    rank_in = 0
-    if s > 0:
-        delta_in = gf2.BitMatrix.from_dense(_hom_delta_dense(cplx, M, s - 1, t, dense_cache))
-        rank_in = gf2.rank(delta_in)
+    rank_out = gf2.rank(_hom_delta(cplx, M, s, t, cache))
+    rank_in = gf2.rank(_hom_delta(cplx, M, s - 1, t, cache)) if s > 0 else 0
     return (cur_total - rank_out) - rank_in
 
 
@@ -775,20 +752,21 @@ def _product_matrix_at(
         tgt_idx = [i for i, g in enumerate(cplx.level_gens(s + s0)) if g.t == t + t0]
         src_idx = [i for i, g in enumerate(cplx.level_gens(s)) if g.t == t]
         offsets, _ = cplx.block_layout(s, t)
-        dense = np.zeros((len(tgt_idx), len(src_idx)), dtype=np.uint8)
-        for r, gi in enumerate(tgt_idx):
+        rows = []
+        for gi in tgt_idx:
             vec = lifted.rows.get((s + s0, gi))
-            if vec is None or vec.shape[0] == 0:
-                continue
-            for c, hi in enumerate(src_idx):
-                dense[r, c] = vec[offsets[hi]]
-        return gf2.BitMatrix.from_dense(dense)
+            row = 0
+            if vec is not None and vec.shape[0]:
+                for c, hi in enumerate(src_idx):
+                    row |= int(vec[offsets[hi]]) << c
+            rows.append(row)
+        return gf2.BitMatrix(len(rows), len(src_idx), rows)
     local = chart.reps.get((s, t))
     tgt_local = chart.reps.get((s + s0, t + t0))
     if local is None:
         raise ResolutionError("products need charts computed with representatives")
     if tdim == 0 or tgt_local is None:
-        return gf2.BitMatrix.from_dense(np.zeros((0, dim), dtype=np.uint8))
+        return gf2.BitMatrix.zeros(0, dim)
     cols = [
         tgt_local.class_coords(_precompose(cplx, M, lifted, s, t, rep))
         for rep in local.rep_vectors
@@ -1052,21 +1030,21 @@ def _trivial_layout(cplx: FreeComplex, s: int, t: int) -> list[int]:
 def _trivial_delta(cplx: FreeComplex, s: int, t: int) -> gf2.BitMatrix:
     """Trivial-coefficient delta: functionals on level s to level s+1."""
     src_pos = {i: p for p, i in enumerate(_trivial_layout(cplx, s, t))}
-    tgt = _trivial_layout(cplx, s + 1, t)
-    dense = np.zeros((len(tgt), len(src_pos)), dtype=np.uint8)
-    for r, gi in enumerate(tgt):
+    rows = []
+    for gi in _trivial_layout(cplx, s + 1, t):
+        row = 0
         for h, a in cplx.diff[s + 1][gi]:
             if h in src_pos and a.augmentation():
-                dense[r, src_pos[h]] ^= 1
-    return gf2.BitMatrix.from_dense(dense)
+                row ^= 1 << src_pos[h]
+        rows.append(row)
+    return gf2.BitMatrix(len(rows), len(src_pos), rows)
 
 
 def _local_cohomology(cplx: FreeComplex, s: int, t: int) -> CohomologyLocal:
     """Trivial-coefficient cohomology of the complex at one spot; vectors are
     indexed by the level-s generators of internal degree t."""
     cur = gf2.Solver(_trivial_delta(cplx, s, t))
-    prev_cols = _trivial_delta(cplx, s - 1, t).to_dense() if s >= 1 else None
-    return _canonical_reps(cur, prev_cols)
+    return _canonical_reps(cur, _trivial_delta(cplx, s - 1, t) if s >= 1 else None)
 
 
 # ----- cones -----
@@ -1224,7 +1202,7 @@ def select_self_map(
                 total += size
         return entries, total
 
-    def dmat(k: int) -> np.ndarray:
+    def dmat(k: int) -> gf2.BitMatrix:
         src, src_total = layout(k)
         tgt, tgt_total = layout(k + 1)
         src_pos = {(s, i): (off, size) for s, i, off, size in src}
@@ -1254,12 +1232,11 @@ def select_self_map(
             if gp is not None and gp[1]:
                 mat = X.diff_matrix(s - k, g.t - t0)
                 if mat.rows:
-                    mat_cols = gf2.BitMatrix.from_dense(mat.to_dense().T).int_rows()
-                    for j, col in enumerate(mat_cols, gp[0]):
+                    for j, col in enumerate(mat.transpose().int_rows(), gp[0]):
                         cols[j] ^= col << off
-        return _dense_from_cols(cols, tgt_total)
+        return gf2.BitMatrix(src_total, tgt_total, cols).transpose()
 
-    d_cur = gf2.Solver(gf2.BitMatrix.from_dense(dmat(s0)))
+    d_cur = gf2.Solver(dmat(s0))
     d_prev = dmat(s0 - 1) if s0 >= 1 else None
     local = _canonical_reps(d_cur, d_prev)
 
@@ -1291,7 +1268,7 @@ def select_self_map(
     if br_cols:
         br = gf2.BitMatrix.from_dense(np.stack(br_cols, axis=1))
     else:
-        br = gf2.BitMatrix.from_dense(np.zeros((target_coords.shape[0], 0), dtype=np.uint8))
+        br = gf2.BitMatrix.zeros(target_coords.shape[0], 0)
     sol = gf2.solve(br, target_coords)
     window_matching = br.cols - gf2.rank(br)
 

@@ -3,12 +3,13 @@
 from typing import Optional
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extforge import gf2
 
-# shapes reach 20 x 140, so rows span three 64-bit words
+# shapes reach 20 x 140, so rows run past 64 columns
 _FEW = settings(max_examples=60, deadline=None)
 
 
@@ -74,7 +75,7 @@ def reference_solve(dense: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 def bit_arrays(draw, rows: int, cols: int) -> np.ndarray:
     """Uniform, sparse, left-padded or low-rank 0/1 arrays of a fixed shape.
 
-    Left padding with zero columns pushes the pivots past word boundaries.
+    Left padding with zero columns pushes the pivots past column 64.
     """
     kind = draw(st.sampled_from(("uniform", "sparse", "padded", "low-rank")))
 
@@ -177,19 +178,12 @@ def test_solver_agrees_with_solve(dense, data):
                 assert np.array_equal(got, expected)
 
 
-@given(dense_matrices(max_rows=7, max_cols=7), st.data())
+@_FEW
+@given(dense_matrices(), st.data())
 def test_multiply_matches_numpy(a_dense, data):
-    inner = a_dense.shape[1]
-    cols = data.draw(st.integers(0, 7))
-    b_bits = data.draw(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
-            min_size=inner,
-            max_size=inner,
-        )
-    )
-    b_dense = np.array(b_bits, dtype=np.uint8).reshape(inner, cols)
+    b_dense = data.draw(bit_arrays(a_dense.shape[1], data.draw(st.integers(0, 140))))
     prod = gf2.multiply(gf2.BitMatrix.from_dense(a_dense), gf2.BitMatrix.from_dense(b_dense))
+    assert (prod.rows, prod.cols) == (a_dense.shape[0], b_dense.shape[1])
     assert np.array_equal(prod.to_dense(), (a_dense.astype(int) @ b_dense.astype(int)) % 2)
 
 
@@ -261,3 +255,56 @@ def test_from_support_and_get_bounds():
         pass
     else:
         raise AssertionError("out-of-range get must raise")
+
+
+def test_constructor_rejects_bad_payloads():
+    gf2.BitMatrix(2, 3, [0b101, 0b010])
+    for rows, cols, payload in (
+        (2, 3, [0b101]),  # too few rows
+        (1, 3, [0b1, 0b1]),  # too many rows
+        (1, 3, [0b1000]),  # bit at column 3
+        (2, 70, [0, 1 << 70]),  # bit past the last column, beyond one word
+        (1, 0, [1]),  # any bit of a zero-column row
+        (1, 3, [-1]),
+        (-1, 3, []),
+    ):
+        try:
+            gf2.BitMatrix(rows, cols, payload)
+        except ValueError:
+            continue
+        raise AssertionError(f"accepted {rows}x{cols} payload {payload}")
+
+
+@_FEW
+@with_empty_shapes
+@given(dense_matrices())
+def test_equal_matrices_compare_and_hash_equal(dense):
+    rows, cols = dense.shape
+    built = (
+        gf2.BitMatrix.from_dense(dense),
+        gf2.BitMatrix.from_support(rows, cols, [np.flatnonzero(row).tolist() for row in dense]),
+        gf2.BitMatrix.from_dense(dense.T).transpose(),
+        gf2.BitMatrix.from_dense(dense).transpose().transpose(),
+    )
+    for m in built:
+        assert m == built[0] and hash(m) == hash(built[0])
+    if rows and cols:
+        flipped = dense.copy()
+        flipped[rows - 1, cols - 1] ^= 1
+        assert gf2.BitMatrix.from_dense(flipped) != built[0]
+    assert gf2.BitMatrix.zeros(rows, cols + 1) != gf2.BitMatrix.zeros(rows, cols)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 64, 65, 140])
+def test_zeros_and_identity(n):
+    zero = gf2.BitMatrix.zeros(n, n + 3)
+    assert (zero.rows, zero.cols) == (n, n + 3)
+    assert zero.is_zero() and not zero.to_dense().any()
+    assert zero == gf2.BitMatrix.from_dense(np.zeros((n, n + 3), dtype=np.uint8))
+    eye = gf2.BitMatrix.identity(n)
+    assert np.array_equal(eye.to_dense(), np.eye(n, dtype=np.uint8))
+    assert eye.is_zero() == (n == 0)
+    m = gf2.BitMatrix.from_dense(np.arange(n * 7).reshape(n, 7) % 3 == 1)
+    assert gf2.multiply(eye, m) == m
+    assert gf2.multiply(m.transpose(), eye) == m.transpose()
+    assert gf2.multiply(zero.transpose(), m).is_zero()

@@ -299,3 +299,39 @@ def test_apply_element_edge_cases(res_a2_small):
             got = cplx.apply_element(a, s, t, vec)
             assert np.array_equal(got, _reference_apply(cplx, a, s, t, vec))
     assert not cplx.apply_element(sq4, s, t, np.zeros(n, dtype=np.uint8)).any()
+
+
+# ----- Hom-complex deltas against the dense block assembly -----
+
+
+def _reference_hom_delta(cplx, M, s, t):
+    """delta: Hom^{s,t} -> Hom^{s+1,t} from uint8 action blocks XORed into slices."""
+    src_off, src_total = R._hom_layout(cplx, M, s, t)
+    tgt_off, tgt_total = R._hom_layout(cplx, M, s + 1, t)
+    dense = np.zeros((tgt_total, src_total), dtype=np.uint8)
+    for gp, g in enumerate(cplx.level_gens(s + 1)):
+        for h, a in cplx.diff[s + 1][gp]:
+            d_src = t - cplx.gens[s][h].t
+            for mono in a.terms:
+                block = M.monomial_action_matrix(mono, d_src).to_dense()
+                r0, c0 = tgt_off[gp], src_off[h]
+                dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] ^= block
+    return dense
+
+
+def test_hom_delta_matches_dense_assembly(res_a2_small, h8_small):
+    bo1 = modules.bo(1)
+    # one cache for both complexes and both modules, as ext_dim_at callers share it
+    cache: dict = {}
+    for M in (bo1, modules.tensor(bo1, bo1)):
+        for cplx in (res_a2_small, h8_small):
+            for t in range(cplx.max_t + 1):
+                deltas = []
+                for s in range(len(cplx.gens) - 1):
+                    got = R._hom_delta(cplx, M, s, t, cache)
+                    assert isinstance(got, gf2.BitMatrix)
+                    assert np.array_equal(got.to_dense(), _reference_hom_delta(cplx, M, s, t)), (s, t)
+                    assert got == R._hom_delta(cplx, M, s, t)
+                    deltas.append(got)
+                for s in range(len(deltas) - 1):
+                    assert gf2.multiply(deltas[s + 1], deltas[s]).is_zero(), (s, t)
