@@ -229,7 +229,16 @@ def resolve_cached(
             doc, manifest = entry
             if (manifest.max_s, manifest.max_t) != (max_s, max_t):
                 raise CacheError(f"cache entry {key} records different bounds than its name")
-            res = FreeComplex.from_json_dict(doc)
+            try:
+                res = FreeComplex.from_json_dict(doc)
+                if isinstance(res, FreeResolution):
+                    res.verify_minimal()
+            except (KeyError, TypeError, ValueError) as exc:
+                # ResolutionError is a ValueError: a format version or a
+                # minimality check the entry fails
+                raise CacheError(
+                    f"cache entry {key} does not load ({exc!r}); rerun with --force to recompute"
+                ) from exc
             if not isinstance(res, FreeResolution):
                 raise CacheError(f"cache entry {key} is not a plain resolution")
             log(f"cache hit: {key}")

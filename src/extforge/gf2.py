@@ -20,30 +20,14 @@ platforms and worker counts.
 
 :class:`BitMatrix` stores its rows in the same format, one Python int per
 row, so the engine assembles matrices by XORing shifted int rows and hands
-them to the elimination without converting; uint8 0/1 arrays appear only
-at the edges (``from_dense``/``to_dense``, solve right sides and results).
+them to the elimination without converting.  Vectors use the same format:
+a vector is one Python int, bit c = coordinate c, whether it is a right
+side, a solution, a kernel row or a span member.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
-
-def _vector_int(vector, length: int) -> int:
-    """A 0/1 vector as an int, bit c = entry c."""
-    vec = np.asarray(vector, dtype=np.uint8).reshape(-1) & 1
-    if vec.shape[0] != length:
-        raise ValueError(f"vector length {vec.shape[0]} does not match {length}")
-    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
-
-
-def _unpack_ints(rows: Sequence[int], cols: int) -> np.ndarray:
-    """0/1 uint8 array with one row per int; the ints must be below 2**cols."""
-    width = (cols + 7) // 8
-    raw = b"".join(r.to_bytes(width, "little") for r in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
 def _set_bits(x: int):
@@ -88,14 +72,6 @@ class BitMatrix:
         return BitMatrix(n, n, [1 << i for i in range(n)])
 
     @staticmethod
-    def from_dense(dense) -> "BitMatrix":
-        arr = np.asarray(dense, dtype=np.uint8) & 1
-        if arr.ndim != 2:
-            raise ValueError("dense payload must be 2-dimensional")
-        packed = np.packbits(arr, axis=1, bitorder="little")
-        return BitMatrix(*arr.shape, [int.from_bytes(row.tobytes(), "little") for row in packed])
-
-    @staticmethod
     def from_support(rows: int, cols: int, support: Iterable[Iterable[int]]) -> "BitMatrix":
         """Build from an iterable of per-row column-index iterables; a
         column listed twice in one row cancels."""
@@ -106,13 +82,6 @@ class BitMatrix:
                     raise ValueError(f"column {c} out of range")
                 out[r] ^= 1 << int(c)
         return BitMatrix(rows, cols, out)
-
-    def to_dense(self) -> np.ndarray:
-        return _unpack_ints(self.row_bits, self.cols)
-
-    def int_rows(self) -> list[int]:
-        """The rows as ints, bit c = column c."""
-        return list(self.row_bits)
 
     def get(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
@@ -126,7 +95,16 @@ class BitMatrix:
         return not any(self.row_bits)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        out = [0] * self.cols
+        for r, row in enumerate(self.row_bits):
+            bit = 1 << r
+            # _set_bits inlined: this loop runs once per entry of every
+            # differential the engine assembles
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] |= bit
+                row ^= low
+        return BitMatrix(self.cols, self.rows, out)
 
     def xor(self, other: "BitMatrix") -> "BitMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -220,27 +198,26 @@ class Solver:
         """
         cols = self.matrix.cols
         reduced = self._rref()
-        pivots = [p for p, _ in reduced]
-        is_free = np.ones(cols, dtype=bool)
-        is_free[pivots] = False
-        free = np.flatnonzero(is_free)
-        dense = np.zeros((free.size, cols), dtype=np.uint8)
-        dense[np.arange(free.size), free] = 1
-        if reduced:
-            mask = (1 << cols) - 1
-            rref = _unpack_ints([row & mask for _, row in reduced], cols)
-            dense[:, pivots] = rref[:, free].T
-        return BitMatrix.from_dense(dense)
+        free = {c: 1 << c for c in range(cols)}  # free column -> its vector
+        for p, _ in reduced:
+            del free[p]
+        mask = (1 << cols) - 1
+        for p, row in reduced:
+            # off its own pivot, a reduced row is nonzero only at free columns
+            for f in _set_bits((row & mask) ^ (1 << p)):
+                free[f] |= 1 << p
+        return BitMatrix(len(free), cols, free.values())
 
-    def solve(self, b) -> Optional[np.ndarray]:
+    def solve(self, b: int) -> Optional[int]:
         """Canonical solution of m x = b (free variables zero), or None."""
         m = self.matrix
-        rhs = _vector_int(b, m.rows)
-        if any((rel & rhs).bit_count() & 1 for rel in self._relations):
+        if b < 0 or b >> m.rows:
+            raise ValueError(f"right side has a bit outside {m.rows} rows")
+        if any((rel & b).bit_count() & 1 for rel in self._relations):
             return None
-        x = np.zeros(m.cols, dtype=np.uint8)
+        x = 0
         for p, row in self._rref():
-            x[p] = ((row >> m.cols) & rhs).bit_count() & 1
+            x |= (((row >> m.cols) & b).bit_count() & 1) << p
         return x
 
 
@@ -253,23 +230,33 @@ def kernel_basis(m: BitMatrix) -> BitMatrix:
     return Solver(m).kernel()
 
 
-def solve(m: BitMatrix, b) -> Optional[np.ndarray]:
+def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Canonical solution of m x = b (free variables zero), or None."""
     return Solver(m).solve(b)
+
+
+def combine(rows: Sequence[int], x: int) -> int:
+    """The XOR of ``rows[k]`` over the set bits k of x: x^T times the matrix
+    with those rows."""
+    acc = 0
+    for k in _set_bits(x):
+        acc ^= rows[k]
+    return acc
+
+
+def matvec(m: BitMatrix, x: int) -> int:
+    """m x for a vector x over m's columns; bit r of the result is row r."""
+    out = 0
+    for r, row in enumerate(m.row_bits):
+        out |= ((row & x).bit_count() & 1) << r
+    return out
 
 
 def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) matrix product a @ b."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch {a.cols} vs {b.rows}")
-    rows = b.row_bits
-    out = []
-    for row in a.row_bits:
-        acc = 0
-        for k in _set_bits(row):
-            acc ^= rows[k]
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix(a.rows, b.cols, [combine(b.row_bits, row) for row in a.row_bits])
 
 
 def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -> int:
@@ -329,32 +316,33 @@ class IncrementalSpan:
         return len(self._pivots)
 
     @property
-    def rows(self) -> tuple[np.ndarray, ...]:
+    def rows(self) -> tuple[int, ...]:
         """Echelon rows currently spanning the space, by ascending pivot."""
-        return tuple(_unpack_ints([self._pivots[p] for p in sorted(self._pivots)], self.cols))
+        return tuple(self._pivots[p] for p in sorted(self._pivots))
 
     def copy(self) -> "IncrementalSpan":
         other = IncrementalSpan(self.cols)
         other._pivots = dict(self._pivots)
         return other
 
-    def contains(self, vector) -> bool:
-        return not _reduce(self._pivots, _vector_int(vector, self.cols))
+    def _check(self, vector: int) -> int:
+        if vector < 0 or vector >> self.cols:
+            raise ValueError(f"vector has a bit outside {self.cols} columns")
+        return vector
+
+    def contains(self, vector: int) -> bool:
+        return not _reduce(self._pivots, self._check(vector))
 
     def _insert(self, row: int) -> bool:
-        row = _reduce(self._pivots, row)
+        row = _reduce(self._pivots, self._check(row))
         if row:
             self._pivots[(row & -row).bit_length() - 1] = row
         return bool(row)
 
-    def add(self, vector) -> bool:
+    def add(self, vector: int) -> bool:
         """Add a vector; returns True when it enlarged the span."""
-        return self._insert(_vector_int(vector, self.cols))
+        return self._insert(vector)
 
-    def extend(self, rows) -> np.ndarray:
-        """Add the rows of a BitMatrix or a 0/1 array in order; a mask of
-        those that enlarged the span."""
-        m = rows if isinstance(rows, BitMatrix) else BitMatrix.from_dense(rows)
-        if m.cols != self.cols:
-            raise ValueError(f"rows have {m.cols} columns, the span {self.cols}")
-        return np.array([self._insert(row) for row in m.row_bits], dtype=bool)
+    def extend(self, rows: Iterable[int]) -> list[bool]:
+        """Add vectors in order; for each, whether it enlarged the span."""
+        return [self._insert(row) for row in rows]

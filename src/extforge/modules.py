@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import gf2
 from .milnor import (
     FULL,
@@ -302,20 +300,14 @@ class FiniteModule:
             if lhs != rhs:
                 raise ComoduleError(f"coassociativity fails at {self.basis[i].label}")
 
-    def verify_action(self, sample: Optional[int] = None, seed: int = 0) -> None:
+    def verify_action(self) -> None:
         """Associativity of the derived action against the Milnor product.
 
-        Checks a (x) (b (x) m) = (ab) (x) m for pairs of algebra basis
-        monomials; all pairs when ``sample`` is None, else a deterministic
-        sample of that size.
+        Checks a (x) (b (x) m) = (ab) (x) m for all pairs of algebra basis
+        monomials.
         """
         monos = [m for n in range(self.algebra.top_degree() + 1) for m in basis_in_degree(self.algebra, n)]
-        pairs = list(itertools.product(monos, monos))
-        if sample is not None and sample < len(pairs):
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(pairs), size=sample, replace=False)
-            pairs = [pairs[int(t)] for t in idx]
-        for a_mono, b_mono in pairs:
+        for a_mono, b_mono in itertools.product(monos, monos):
             a = MilnorElement(self.algebra, frozenset([a_mono]))
             b = MilnorElement(self.algebra, frozenset([b_mono]))
             ab = milnor_product(a, b)
@@ -450,15 +442,13 @@ def _coaction_from_generator_actions(
                 candidates.append((k, m_low))
                 rows.append(sorted(index[t] for t in prod.terms))
         solver = gf2.Solver(gf2.BitMatrix.from_support(len(rows), len(monos), rows).transpose())
-        for m in monos:
-            target = np.zeros(len(monos), dtype=np.uint8)
-            target[index[m]] = 1
-            combo = solver.solve(target)
+        for p, m in enumerate(monos):
+            combo = solver.solve(1 << p)
             if combo is None:
                 raise ComoduleError(f"monomial {m} is not decomposable; bad profile data")
             mat = gf2.BitMatrix.zeros(dim, dim)
-            for pos in np.nonzero(combo)[0]:
-                k, m_low = candidates[int(pos)]
+            for pos in gf2._set_bits(combo):
+                k, m_low = candidates[pos]
                 # row convention composes source-side first
                 mat = mat.xor(gf2.multiply(act[m_low], gen_mats[k]))
             act[m] = mat

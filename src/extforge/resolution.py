@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import gf2
 from .milnor import MilnorElement, Profile, basis_in_degree, milnor_product
 from .modules import FiniteModule
@@ -174,17 +172,21 @@ class FreeComplex:
     def free_dim(self, s: int, t: int) -> int:
         return self.block_layout(s, t)[1]
 
-    def vector_to_rows(self, s: int, t: int, vec: np.ndarray) -> DiffRow:
+    def vector_to_rows(self, s: int, t: int, vec: int) -> DiffRow:
         """Read a coordinate vector back as (generator, element) pairs."""
         offsets, total = self.block_layout(s, t)
         row: list[tuple[int, MilnorElement]] = []
-        for h, seg in _segments(gf2._vector_int(vec, total), offsets, total):
+        for h, seg in _segments(vec, offsets, total):
             monos = basis_in_degree(self.algebra, t - self.gens[s][h].t)
             row.append((h, MilnorElement(self.algebra, frozenset(monos[j] for j in gf2._set_bits(seg)))))
         return tuple(row)
 
-    def diff_dense(self, s: int, t: int) -> np.ndarray:
-        """Dense matrix of d: level s -> level s-1 in internal degree t."""
+    def diff_dense(self, s: int, t: int) -> gf2.BitMatrix:
+        """Matrix of d: level s -> level s-1 in internal degree t, as int rows.
+
+        Assembled column by column from the element tables, then transposed.
+        The name is kept for ``perfbench/traced.py``, which times it.
+        """
         rows_off, rows_total = self.block_layout(s - 1, t)
         cols_off, cols_total = self.block_layout(s, t)
         cols = [0] * cols_total
@@ -197,14 +199,13 @@ class FreeComplex:
                 r0 = rows_off[h]
                 for j, col in enumerate(_mul_cols(self.algebra, "r", a, t - g.t), cols_off[i]):
                     cols[j] ^= col << r0
-        return np.ascontiguousarray(gf2._unpack_ints(cols, rows_total).T)
+        return gf2.BitMatrix(cols_total, rows_total, cols).transpose()
 
     def diff_matrix(self, s: int, t: int) -> gf2.BitMatrix:
         key = (s, t)
         got = self._matrix_cache.get(key)
         if got is None:
-            got = gf2.BitMatrix.from_dense(self.diff_dense(s, t))
-            self._matrix_cache[key] = got
+            got = self._matrix_cache[key] = self.diff_dense(s, t)
         return got
 
     def diff_solver(self, s: int, t: int) -> gf2.Solver:
@@ -215,20 +216,23 @@ class FreeComplex:
             self._solver_cache[key] = got
         return got
 
-    def apply_element(self, a: MilnorElement, s: int, t: int, vec: np.ndarray) -> np.ndarray:
-        """Left-multiply a degree-t coordinate vector of level s by a."""
-        t_out = t + (a.degree or 0)
+    def apply_element(self, a: MilnorElement, s: int, t: int, vec: int) -> int:
+        """Left-multiply a degree-t coordinate vector of level s by a.
+
+        Vectors are ints, bit c = coordinate c.  The name is kept for
+        ``perfbench/traced.py``, which times it.
+        """
         offs_in, total_in = self.block_layout(s, t)
-        offs_out, total_out = self.block_layout(s, t_out)
+        offs_out = self.block_layout(s, t + (a.degree or 0))[0]
         acc = 0
         if not a.is_zero:
-            for i, seg in _segments(gf2._vector_int(vec, total_in), offs_in, total_in):
+            for i, seg in _segments(vec, offs_in, total_in):
                 table = _mul_cols(self.algebra, "l", a, t - self.gens[s][i].t)
                 part = 0
                 for j in gf2._set_bits(seg):
                     part ^= table[j]
                 acc ^= part << offs_out[i]
-        return gf2._unpack_ints([acc], total_out)[0]
+        return acc
 
     def verify_d_squared(self, t_limit: Optional[int] = None) -> None:
         limit = self.max_t if t_limit is None else t_limit
@@ -329,30 +333,32 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
     res = FreeResolution(algebra, max_s, max_t, [Cell("0", 0, 0)], gens, diff)
 
     for t in range(1, max_t + 1):
-        # dense differential matrices per level at this degree, extended in
-        # place when generators appear
-        dense_at: dict[int, np.ndarray] = {}
+        # differential matrices per level at this degree, with a column
+        # added for each new generator
+        matrix_at: dict[int, gf2.BitMatrix] = {}
         for s in range(1, max_s + 1):
             if s == 1:
-                kernel_rows = np.eye(res.free_dim(0, t), dtype=np.uint8)
+                kernel_rows = gf2.BitMatrix.identity(res.free_dim(0, t)).row_bits
             else:
-                kernel_rows = gf2.kernel_basis(gf2.BitMatrix.from_dense(dense_at[s - 1])).to_dense()
+                kernel_rows = gf2.kernel_basis(matrix_at[s - 1]).row_bits
             image = res.diff_dense(s, t)
-            if kernel_rows.shape[0] == 0:
-                dense_at[s] = image
-                continue
-            span = gf2.IncrementalSpan(kernel_rows.shape[1])
-            span.extend(image.T)
-            new_rows = kernel_rows[span.extend(kernel_rows)]
-            for v in new_rows:
-                res.gens[s].append(Gen(t, 0))
-                res.diff[s].append(res.vector_to_rows(s - 1, t, v))
-            if new_rows.shape[0]:
-                res._coords_cache.clear()
-                res._matrix_cache.clear()
-                res._solver_cache.clear()
-                image = np.concatenate([image, new_rows.T], axis=1)
-            dense_at[s] = image
+            if kernel_rows:
+                span = gf2.IncrementalSpan(image.rows)
+                span.extend(image.transpose().row_bits)
+                new_rows = [v for v, grew in zip(kernel_rows, span.extend(kernel_rows)) if grew]
+                if new_rows:
+                    for v in new_rows:
+                        res.gens[s].append(Gen(t, 0))
+                        res.diff[s].append(res.vector_to_rows(s - 1, t, v))
+                    res._coords_cache.clear()
+                    res._matrix_cache.clear()
+                    res._solver_cache.clear()
+                    rows = list(image.row_bits)
+                    for j, v in enumerate(new_rows, image.cols):
+                        for r in gf2._set_bits(v):
+                            rows[r] |= 1 << j
+                    image = gf2.BitMatrix(image.rows, image.cols + len(new_rows), rows)
+            matrix_at[s] = image
     return res
 
 
@@ -429,32 +435,29 @@ class ExtChart:
 
 @dataclass
 class CohomologyLocal:
-    """Cocycles, coboundaries, and canonical class representatives at (s,t)."""
+    """Coboundaries and canonical class representatives at (s,t); vectors
+    are ints, bit c = coordinate c."""
 
-    cocycles: np.ndarray
     boundary_span: gf2.IncrementalSpan
-    rep_vectors: np.ndarray
+    rep_vectors: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.rep_vectors.shape[0]
+        return len(self.rep_vectors)
 
-    def class_coords(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of a cocycle's class in the representative basis."""
+    def class_coords(self, vec: int) -> int:
+        """Coordinates of a cocycle's class in the representative basis,
+        bit i for representative i."""
         if self.dim == 0:
             if self.boundary_span.rank and not self.boundary_span.contains(vec):
                 raise ResolutionError("vector is not a coboundary at a zero spot")
-            return np.zeros(0, dtype=np.uint8)
+            return 0
         nb = self.boundary_span.rank
-        parts = []
-        if nb:
-            parts.append(np.stack(self.boundary_span.rows, axis=0))
-        parts.append(self.rep_vectors)
-        stacked = np.concatenate(parts, axis=0)
-        sol = gf2.solve(gf2.BitMatrix.from_dense(stacked).transpose(), vec % 2)
+        stacked = self.boundary_span.rows + self.rep_vectors
+        sol = gf2.solve(gf2.BitMatrix(len(stacked), self.boundary_span.cols, stacked).transpose(), vec)
         if sol is None:
             raise ResolutionError("vector is not a cocycle class in range")
-        return sol[nb:]
+        return sol >> nb
 
 
 def _hom_layout(cplx: FreeComplex, M: FiniteModule, s: int, t: int):
@@ -506,12 +509,12 @@ def _hom_delta(
 
 def _canonical_reps(delta_cur: gf2.Solver, prev_delta: Optional[gf2.BitMatrix]) -> CohomologyLocal:
     """Cohomology data from the eliminated outgoing delta and the incoming one."""
-    kernel = delta_cur.kernel()
+    cocycles = delta_cur.kernel().row_bits
     boundary = gf2.IncrementalSpan(delta_cur.matrix.cols)
     if prev_delta is not None:
-        boundary.extend(prev_delta.transpose())
-    cocycles = kernel.to_dense()
-    return CohomologyLocal(cocycles, boundary, cocycles[boundary.copy().extend(kernel)])
+        boundary.extend(prev_delta.transpose().row_bits)
+    grew = boundary.copy().extend(cocycles)
+    return CohomologyLocal(boundary, tuple(v for v, g in zip(cocycles, grew) if g))
 
 
 def _provenance_of_class(
@@ -527,24 +530,24 @@ def _provenance_of_class(
     if n_cells == 1:
         return tuple(0 for _ in range(local.dim))
     offsets, total = _hom_layout(cplx, M, s, t)
-    col_cell = np.zeros(total, dtype=np.int64)
-    for i, g in enumerate(cplx.level_gens(s)):
-        width = M.dimension_in(t - g.t)
-        col_cell[offsets[i] : offsets[i] + width] = g.cell
+    blocks = [
+        (g.cell, range(offsets[i], offsets[i] + M.dimension_in(t - g.t)))
+        for i, g in enumerate(cplx.level_gens(s))
+    ]
     out = [n_cells - 1] * local.dim
     pending = set(range(local.dim))
-    dense_cur = delta_cur.to_dense()
     for j in range(n_cells - 1):
         if not pending:
             break
-        keep = np.nonzero(col_cell <= j)[0]
-        if keep.size == 0:
+        # cocycles vanishing above cell j: the kernel of delta with a unit
+        # row appended for every column of a higher cell
+        units = tuple(1 << c for cell, cols in blocks if cell > j for c in cols)
+        if len(units) == total:
             continue
-        sub_kernel = gf2.kernel_basis(gf2.BitMatrix.from_dense(dense_cur[:, keep])).to_dense()
-        emb = np.zeros((sub_kernel.shape[0], total), dtype=np.uint8)
-        emb[:, keep] = sub_kernel
+        rows = delta_cur.row_bits + units
+        sub_kernel = gf2.kernel_basis(gf2.BitMatrix(len(rows), total, rows))
         span = local.boundary_span.copy()
-        span.extend(emb)
+        span.extend(sub_kernel.row_bits)
         for idx in sorted(pending):
             if span.contains(local.rep_vectors[idx]):
                 out[idx] = j
@@ -754,12 +757,8 @@ def _product_matrix_at(
         offsets, _ = cplx.block_layout(s, t)
         rows = []
         for gi in tgt_idx:
-            vec = lifted.rows.get((s + s0, gi))
-            row = 0
-            if vec is not None and vec.shape[0]:
-                for c, hi in enumerate(src_idx):
-                    row |= int(vec[offsets[hi]]) << c
-            rows.append(row)
+            vec = lifted.rows.get((s + s0, gi), 0)
+            rows.append(sum(((vec >> offsets[hi]) & 1) << c for c, hi in enumerate(src_idx)))
         return gf2.BitMatrix(len(rows), len(src_idx), rows)
     local = chart.reps.get((s, t))
     tgt_local = chart.reps.get((s + s0, t + t0))
@@ -771,49 +770,39 @@ def _product_matrix_at(
         tgt_local.class_coords(_precompose(cplx, M, lifted, s, t, rep))
         for rep in local.rep_vectors
     ]
-    return gf2.BitMatrix.from_dense(np.stack(cols, axis=1))
+    return gf2.BitMatrix(len(cols), tdim, cols).transpose()
 
 
 def _precompose(
-    cplx: FreeComplex, M: FiniteModule, lifted: "ChainMap", s: int, t: int, cochain: np.ndarray
-) -> np.ndarray:
+    cplx: FreeComplex, M: FiniteModule, lifted: "ChainMap", s: int, t: int, cochain: int
+) -> int:
     """Pull a Hom^{s,t} cochain back along a chain map of bidegree (s0,t0)."""
     s0, t0 = lifted.s0, lifted.t0
     src_off, _ = _hom_layout(cplx, M, s, t)
-    tgt_off, tgt_total = _hom_layout(cplx, M, s + s0, t + t0)
-    out = np.zeros(tgt_total, dtype=np.uint8)
+    tgt_off, _ = _hom_layout(cplx, M, s + s0, t + t0)
+    out = 0
     for gi, g in enumerate(cplx.level_gens(s + s0)):
-        width_out = M.dimension_in(t + t0 - g.t)
-        if width_out == 0:
+        if M.dimension_in(t + t0 - g.t) == 0:
             continue
         vec = lifted.rows.get((s + s0, gi))
-        if vec is None or not vec.any():
+        if not vec:
             continue
         d_here = g.t - t0
-        offs, _ = cplx.block_layout(s, d_here)
-        acc = np.zeros(width_out, dtype=np.uint8)
-        for hi, h in enumerate(cplx.level_gens(s)):
-            d = d_here - h.t
-            if d < 0:
-                continue
-            monos = basis_in_degree(cplx.algebra, d)
-            if not monos:
-                continue
-            seg = vec[offs[hi] : offs[hi] + len(monos)]
-            if not seg.any():
-                continue
+        offs, total = cplx.block_layout(s, d_here)
+        acc = 0
+        for hi, seg in _segments(vec, offs, total):
+            h = cplx.gens[s][hi]
             src_d = t - h.t
             width_in = M.dimension_in(src_d)
             if width_in == 0:
                 continue
-            phi_h = cochain[src_off[hi] : src_off[hi] + width_in]
-            if not phi_h.any():
+            phi_h = (cochain >> src_off[hi]) & ((1 << width_in) - 1)
+            if not phi_h:
                 continue
-            for j in np.nonzero(seg)[0]:
-                act = M.monomial_action_matrix(monos[int(j)], src_d)
-                if act.rows:
-                    acc ^= (act.to_dense() @ phi_h) % 2
-        out[tgt_off[gi] : tgt_off[gi] + width_out] ^= acc
+            monos = basis_in_degree(cplx.algebra, d_here - h.t)
+            for j in gf2._set_bits(seg):
+                acc ^= gf2.matvec(M.monomial_action_matrix(monos[j], src_d), phi_h)
+        out ^= acc << tgt_off[gi]
     return out
 
 
@@ -824,28 +813,26 @@ def _precompose(
 class ChainMap:
     """Chain self-map of bidegree (s0, t0), stored per generator.
 
-    ``rows[(s, i)]`` is the coordinate vector of the image of generator i of
-    level s inside level s - s0 at internal degree t_i - t0.
+    ``rows[(s, i)]`` is the coordinate vector (an int, bit c = coordinate c)
+    of the image of generator i of level s inside level s - s0 at internal
+    degree t_i - t0.
     """
 
     source: FreeComplex
     s0: int
     t0: int
-    rows: dict[tuple[int, int], np.ndarray]
+    rows: dict[tuple[int, int], int]
 
     def verify(self, levels: Optional[Iterable[int]] = None) -> None:
         cplx = self.source
         rng = levels if levels is not None else range(self.s0 + 1, len(cplx.gens))
         for s in rng:
             for i, g in enumerate(cplx.level_gens(s)):
-                lhs = np.zeros(cplx.free_dim(s - self.s0 - 1, g.t - self.t0), dtype=np.uint8)
+                lhs = 0
                 vec = self.rows.get((s, i))
-                if vec is not None and vec.any():
-                    mat = cplx.diff_matrix(s - self.s0, g.t - self.t0)
-                    if mat.rows:
-                        lhs = ((mat.to_dense() @ vec) % 2).astype(np.uint8)
-                rhs = _lift_rhs(self, s, i)
-                if not np.array_equal(lhs, rhs):
+                if vec:
+                    lhs = gf2.matvec(cplx.diff_matrix(s - self.s0, g.t - self.t0), vec)
+                if lhs != _lift_rhs(self, s, i):
                     raise ResolutionError(f"chain map fails to commute at level {s}, gen {i}")
 
 
@@ -860,14 +847,12 @@ def lift_cocycle(cplx: FreeComplex, s0: int, t0: int, seed: dict[int, int]) -> C
     """
     if len(cplx.level_gens(0)) != 1 or cplx.level_gens(0)[0].t != 0:
         raise ResolutionError("complex must have a single bottom generator in degree 0")
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    rows: dict[tuple[int, int], int] = {}
     for i, g in enumerate(cplx.level_gens(s0)):
-        vec = np.zeros(cplx.free_dim(0, g.t - t0), dtype=np.uint8)
-        if seed.get(i, 0):
-            if g.t != t0:
-                raise ResolutionError("seed supported outside internal degree t0")
-            vec[0] = 1
-        rows[(s0, i)] = vec
+        bit = 1 if seed.get(i, 0) else 0
+        if bit and g.t != t0:
+            raise ResolutionError("seed supported outside internal degree t0")
+        rows[(s0, i)] = bit
     cm = ChainMap(cplx, s0, t0, rows)
     for s in range(s0 + 1, len(cplx.gens)):
         failed = False
@@ -875,10 +860,10 @@ def lift_cocycle(cplx: FreeComplex, s0: int, t0: int, seed: dict[int, int]) -> C
             rhs = _lift_rhs(cm, s, i)
             tgt_s, tgt_t = s - s0, g.t - t0
             if cplx.free_dim(tgt_s, tgt_t) == 0:
-                if rhs.any():
+                if rhs:
                     failed = True
                     break
-                rows[(s, i)] = np.zeros(0, dtype=np.uint8)
+                rows[(s, i)] = 0
                 continue
             sol = cplx.diff_solver(tgt_s, tgt_t).solve(rhs)
             if sol is None:
@@ -890,33 +875,30 @@ def lift_cocycle(cplx: FreeComplex, s0: int, t0: int, seed: dict[int, int]) -> C
     return cm
 
 
-def _lift_rhs(cm: ChainMap, s: int, i: int) -> np.ndarray:
+def _lift_rhs(cm: ChainMap, s: int, i: int) -> int:
     cplx = cm.source
-    g = cplx.gens[s][i]
-    rhs = np.zeros(cplx.free_dim(s - cm.s0 - 1, g.t - cm.t0), dtype=np.uint8)
+    rhs = 0
     for h, a in cplx.diff[s][i]:
         hv = cm.rows.get((s - 1, h))
-        if hv is not None and hv.any():
+        if hv:
             rhs ^= cplx.apply_element(a, s - 1 - cm.s0, cplx.gens[s - 1][h].t - cm.t0, hv)
     return rhs
 
 
-def _correction_kernel(cm: ChainMap, s_prev: int, h: int) -> np.ndarray:
+def _correction_kernel(cm: ChainMap, s_prev: int, h: int) -> tuple[int, ...]:
     """Admissible adjustments of the level-s_prev image of generator h: rows
     spanning the cycle subspace, with seed-functional changes excluded."""
     cplx = cm.source
     ts = s_prev - cm.s0
     tt = cplx.gens[s_prev][h].t - cm.t0
     dim = cplx.free_dim(ts, tt)
-    if dim == 0:
-        return np.zeros((0, 0), dtype=np.uint8)
+    if dim == 0 or (ts, tt) == (0, 0):
+        # at (0, 0) only the unit coordinate lives; changing it would change
+        # the represented class
+        return ()
     if ts == 0:
-        if tt == 0:
-            # only the unit coordinate lives here; changing it would change
-            # the represented class
-            return np.zeros((0, dim), dtype=np.uint8)
-        return np.eye(dim, dtype=np.uint8)
-    return gf2.kernel_basis(cplx.diff_matrix(ts, tt)).to_dense()
+        return gf2.BitMatrix.identity(dim).row_bits
+    return gf2.kernel_basis(cplx.diff_matrix(ts, tt)).row_bits
 
 
 def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
@@ -933,43 +915,34 @@ def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
         x_off.append(x_off[-1] + cplx.free_dim(s - s0, g.t - t0))
     psi_off = [x_off[-1]]
     for kern in kernels:
-        psi_off.append(psi_off[-1] + kern.shape[0])
+        psi_off.append(psi_off[-1] + len(kern))
     n_unknowns = psi_off[-1]
-    eq_off = [0]
-    for g in gens_s:
-        eq_off.append(eq_off[-1] + cplx.free_dim(s - s0 - 1, g.t - t0))
-    n_eqs = eq_off[-1]
 
-    A = np.zeros((n_eqs, n_unknowns), dtype=np.uint8)
-    b = np.zeros(n_eqs, dtype=np.uint8)
+    A: list[int] = []
+    b = 0
     for i, g in enumerate(gens_s):
-        r0, r1 = eq_off[i], eq_off[i + 1]
         rhs = _lift_rhs(cm, s, i)
-        if r1 == r0:
-            if rhs.any():
+        if cplx.free_dim(s - s0 - 1, g.t - t0) == 0:
+            if rhs:
                 raise LiftError(f"lift obstructed at level {s}: no target for a nonzero image")
             continue
-        b[r0:r1] = rhs
-        mat = cplx.diff_matrix(s - s0, g.t - t0)
-        if mat.rows:
-            A[r0:r1, x_off[i] : x_off[i + 1]] = mat.to_dense()
+        r0 = len(A)
+        b |= rhs << r0
+        A.extend(row << x_off[i] for row in cplx.diff_matrix(s - s0, g.t - t0).row_bits)
         for h, a in cplx.diff[s][i]:
-            kern = kernels[h]
-            for k in range(kern.shape[0]):
-                moved = cplx.apply_element(a, s - 1 - s0, cplx.gens[s - 1][h].t - t0, kern[k])
-                A[r0:r1, psi_off[h] + k] ^= moved
-    sol = gf2.solve(gf2.BitMatrix.from_dense(A), b)
+            for k, kv in enumerate(kernels[h], psi_off[h]):
+                moved = cplx.apply_element(a, s - 1 - s0, cplx.gens[s - 1][h].t - t0, kv)
+                for r in gf2._set_bits(moved):
+                    A[r0 + r] ^= 1 << k
+    sol = gf2.solve(gf2.BitMatrix(len(A), n_unknowns, A), b)
     if sol is None:
         raise LiftError(f"lift obstructed at level {s}: the seed class does not lift")
-    for h in range(len(gens_prev)):
-        kern = kernels[h]
-        if kern.shape[0] == 0:
-            continue
-        combo = sol[psi_off[h] : psi_off[h] + kern.shape[0]]
-        if combo.any():
-            cm.rows[(s - 1, h)] = ((cm.rows[(s - 1, h)] + (kern.T @ combo)) % 2).astype(np.uint8)
+    for h, kern in enumerate(kernels):
+        combo = (sol >> psi_off[h]) & ((1 << len(kern)) - 1)
+        if combo:
+            cm.rows[(s - 1, h)] ^= gf2.combine(kern, combo)
     for i in range(len(gens_s)):
-        cm.rows[(s, i)] = sol[x_off[i] : x_off[i + 1]].astype(np.uint8)
+        cm.rows[(s, i)] = (sol >> x_off[i]) & ((1 << (x_off[i + 1] - x_off[i])) - 1)
 
 
 # ----- chart classes and Yoneda products -----
@@ -1015,8 +988,8 @@ def yoneda_product(a: ChartClass, b: ChartClass) -> ChartClass:
     tdim = b.chart.dim(s_new, t_new)
     if tdim == 0:
         return ChartClass(b.chart, s_new, t_new, ())
-    vec = (mat.to_dense() @ np.array(b.coords, dtype=np.uint8)) % 2
-    return ChartClass(b.chart, s_new, t_new, tuple(int(x) for x in vec))
+    vec = gf2.matvec(mat, sum(c << i for i, c in enumerate(b.coords)))
+    return ChartClass(b.chart, s_new, t_new, tuple((vec >> i) & 1 for i in range(tdim)))
 
 
 # ----- trivial-coefficient cochain complex of any free complex -----
@@ -1075,12 +1048,9 @@ def cone(
     coords = tuple(int(c) & 1 for c in class_coords)
     if len(coords) != local.dim or not any(coords):
         raise ResolutionError("attaching class must be a nonzero class in range")
-    cocycle_vec = np.zeros(local.rep_vectors.shape[1], dtype=np.uint8)
-    for c, rep in zip(coords, local.rep_vectors):
-        if c:
-            cocycle_vec ^= rep
+    cocycle_vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
     spot_gens = _trivial_layout(base, s0, t0)
-    seed = {i: int(cocycle_vec[p]) for p, i in enumerate(spot_gens)}
+    seed = {i: (cocycle_vec >> p) & 1 for p, i in enumerate(spot_gens)}
     phi = lift_cocycle(base, s0, t0, seed)
 
     shift_stem, shift_filt = t0 - s0 + 1, s0 - 1
@@ -1111,7 +1081,7 @@ def cone(
         for i, g in enumerate(base.level_gens(s)):
             row = [(b1_index[(s - 1, h)], a) for h, a in base.diff[s][i]]
             vec = phi.rows.get((s, i))
-            if vec is not None and vec.any():
+            if vec:
                 for h, a in base.vector_to_rows(s - s0, g.t - t0, vec):
                     row.append((b2_index[(s - 1, h)], a))
             diff[s].append(tuple(row))
@@ -1232,7 +1202,7 @@ def select_self_map(
             if gp is not None and gp[1]:
                 mat = X.diff_matrix(s - k, g.t - t0)
                 if mat.rows:
-                    for j, col in enumerate(mat.transpose().int_rows(), gp[0]):
+                    for j, col in enumerate(mat.transpose().row_bits, gp[0]):
                         cols[j] ^= col << off
         return gf2.BitMatrix(src_total, tgt_total, cols).transpose()
 
@@ -1248,10 +1218,7 @@ def select_self_map(
     bottom = min(range(len(X.cells)), key=lambda i: (X.cells[i].stem, X.cells[i].filt))
     x_local = _local_cohomology(X, s0, t0)
     spot_gens = _trivial_layout(X, s0, t0)
-    target_vec = np.zeros(len(spot_gens), dtype=np.uint8)
-    for p, i in enumerate(spot_gens):
-        if X.gens[s0][i].cell == bottom:
-            target_vec[p] ^= 1
+    target_vec = sum(1 << p for p, i in enumerate(spot_gens) if X.gens[s0][i].cell == bottom)
     target_coords = x_local.class_coords(target_vec)
 
     # bottom restriction: unit coefficient of phi at generators of (s0, t0)
@@ -1259,16 +1226,13 @@ def select_self_map(
     entry_pos = {(s, i): (off, size) for s, i, off, size in entries}
     br_cols = []
     for rep in local.rep_vectors:
-        vec = np.zeros(len(spot_gens), dtype=np.uint8)
+        vec = 0
         for p, i in enumerate(spot_gens):
             got = entry_pos.get((s0, i))
             if got is not None and got[1]:
-                vec[p] ^= rep[got[0]]
+                vec |= ((rep >> got[0]) & 1) << p
         br_cols.append(x_local.class_coords(vec))
-    if br_cols:
-        br = gf2.BitMatrix.from_dense(np.stack(br_cols, axis=1))
-    else:
-        br = gf2.BitMatrix.zeros(target_coords.shape[0], 0)
+    br = gf2.BitMatrix(len(br_cols), x_local.dim, br_cols).transpose()
     sol = gf2.solve(br, target_coords)
     window_matching = br.cols - gf2.rank(br)
 
@@ -1288,14 +1252,8 @@ def select_self_map(
             )
         ambiguity += _local_cohomology(X, fs, ft).dim
 
-    seed: list[tuple[int, int]] = []
-    combo = np.zeros(len(spot_gens), dtype=np.uint8)
-    for cbit, rep in zip(target_coords, x_local.rep_vectors):
-        if cbit:
-            combo ^= rep
-    for p, i in enumerate(spot_gens):
-        if combo[p]:
-            seed.append((i, 1))
+    combo = gf2.combine(x_local.rep_vectors, target_coords)
+    seed = [(i, 1) for p, i in enumerate(spot_gens) if (combo >> p) & 1]
     if sol is None:
         note = "no candidate restricts to the sphere class"
     elif ambiguity:
@@ -1312,7 +1270,7 @@ def select_self_map(
         window_matching,
         ambiguity,
         tuple(seed),
-        tuple(int(v) for v in target_coords),
+        tuple((target_coords >> i) & 1 for i in range(x_local.dim)),
         note,
     )
 
@@ -1332,12 +1290,9 @@ def attaching_action(
             raise ResolutionError(f"class ambiguous: dim {local.dim} at ({s0},{t0})")
         class_coords = (1,)
     coords = tuple(int(c) & 1 for c in class_coords)
-    vec = np.zeros(local.rep_vectors.shape[1], dtype=np.uint8)
-    for c, rep in zip(coords, local.rep_vectors):
-        if c:
-            vec ^= rep
+    vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
     spot_gens = _trivial_layout(cplx, s0, t0)
-    seed = {i: int(vec[p]) for p, i in enumerate(spot_gens)}
+    seed = {i: (vec >> p) & 1 for p, i in enumerate(spot_gens)}
     lifted = lift_cocycle(cplx, s0, t0, seed)
     return {
         spot: _product_matrix_at(chart, lifted, spot)

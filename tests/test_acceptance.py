@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense import to_dense
 
 from extforge import bgpoly, charts, cli, cobar, milnor, modules
 from extforge import resolution as R
@@ -89,7 +90,7 @@ def _h0_ladder_report(chart, max_stem=30):
                 m = h0.get((ss, tt))
                 if m is None:
                     break
-                nxt = (m.to_dense() @ cur) & 1
+                nxt = (to_dense(m) @ cur) & 1
                 steps += 1
                 if not nxt.any():
                     died_at = steps

@@ -1,6 +1,11 @@
 """Command surface: descriptors, cache manifest discipline, exit codes."""
 
+import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +78,68 @@ def test_resolve_cache_hit_and_corruption(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and "computed and cached" in out
+
+
+def _rehash_payload(cache_dir, key, edit):
+    """Rewrite a cache entry's payload through ``edit`` and record its new hash,
+    so that only the loader's own checks can reject it."""
+    payload = cache_dir / f"{key}.json.gz"
+    doc = json.loads(gzip.decompress(payload.read_bytes()))
+    edit(doc)
+    raw = cli._gzip_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    payload.write_bytes(raw)
+    manifest_path = cache_dir / f"{key}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["content_hashes"][payload.name] = cli._sha256(raw)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _bump_version(doc):
+    doc["format_version"] = resolution.RESOLUTION_FORMAT_VERSION + 1
+
+
+def _add_unit_coefficient(doc):
+    # a level-s generator hit by the unit on a level-(s-1) generator of its
+    # own degree: a well-formed payload that is not minimal
+    gens = doc["gens"]
+    s, i, h = next(
+        (s, i, h)
+        for s in range(1, len(gens))
+        for i, (t, _) in enumerate(gens[s])
+        for h, (t_prev, _) in enumerate(gens[s - 1])
+        if t == t_prev
+    )
+    doc["diff"][s][i].append([h, [[]]])
+
+
+@pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient])
+def test_resolve_rejects_an_entry_that_does_not_load(tmp_path, capsys, edit):
+    args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
+    assert run(args, capsys)[0] == 0
+    _rehash_payload(tmp_path, "res-A1-s4-t10", edit)
+    code, _, err = run(args, capsys)
+    assert code == 1 and "res-A1-s4-t10" in err and "--force" in err
+    code, out, _ = run(args + ["--force"], capsys)
+    assert code == 0 and "computed and cached" in out
+    assert run(args, capsys)[0] == 0
+
+
+def test_numpy_stays_out_of_the_package():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, extforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stdout + done.stderr
+    # -X importtime lists every module the command imports on stderr
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "extforge.cli", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0 and done.stdout.strip(), done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip().split(".")[0] for line in done.stderr.splitlines()}
+    assert "extforge" in imported and "numpy" not in imported
 
 
 def test_manifest_contents(tmp_path):

@@ -1,9 +1,14 @@
-"""Bit-packed GF(2) linear algebra against a plain elimination reference."""
+"""Bit-packed GF(2) linear algebra against a plain elimination reference.
+
+The references work on numpy 0/1 arrays; ``dense`` converts them to and
+from the package's int vectors and ``BitMatrix`` rows.
+"""
 
 from typing import Optional
 
 import numpy as np
 import pytest
+from dense import to_array, to_dense, to_int, to_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -115,17 +120,17 @@ def with_empty_shapes(test):
 @with_empty_shapes
 @given(dense_matrices())
 def test_dense_roundtrip(dense):
-    m = gf2.BitMatrix.from_dense(dense)
-    assert np.array_equal(m.to_dense(), dense)
+    m = to_matrix(dense)
+    assert np.array_equal(to_dense(m), dense)
     assert m.rows == dense.shape[0] and m.cols == dense.shape[1]
-    assert m.int_rows() == [sum(int(bit) << c for c, bit in enumerate(row)) for row in dense]
+    assert list(m.row_bits) == [sum(int(bit) << c for c, bit in enumerate(row)) for row in dense]
 
 
 @_FEW
 @with_empty_shapes
 @given(dense_matrices())
 def test_rank_matches_reference(dense):
-    m = gf2.BitMatrix.from_dense(dense)
+    m = to_matrix(dense)
     assert gf2.rank(m) == reference_rank(dense)
     assert list(gf2.Solver(m).pivot_columns) == reference_rref(dense)[1]
 
@@ -133,58 +138,69 @@ def test_rank_matches_reference(dense):
 @_FEW
 @given(dense_matrices())
 def test_rank_transpose_invariant(dense):
-    m = gf2.BitMatrix.from_dense(dense)
+    m = to_matrix(dense)
     assert gf2.rank(m) == gf2.rank(m.transpose())
-    assert np.array_equal(m.transpose().transpose().to_dense(), dense)
+    assert np.array_equal(to_dense(m.transpose().transpose()), dense)
+
+
+@_FEW
+@with_empty_shapes
+@given(dense_matrices())
+def test_transpose_matches_numpy(dense):
+    t = to_matrix(dense).transpose()
+    assert (t.rows, t.cols) == (dense.shape[1], dense.shape[0])
+    assert np.array_equal(to_dense(t), dense.T)
 
 
 @_FEW
 @with_empty_shapes
 @given(dense_matrices())
 def test_kernel_is_kernel(dense):
-    m = gf2.BitMatrix.from_dense(dense)
+    m = to_matrix(dense)
     kernel = gf2.kernel_basis(m)
     # the canonical basis: the reference's rows, in the same order
-    assert np.array_equal(kernel.to_dense(), reference_kernel(dense))
+    assert np.array_equal(to_dense(kernel), reference_kernel(dense))
     assert kernel.rows + gf2.rank(m) == m.cols
     if kernel.rows and m.rows:
-        prod = (dense.astype(int) @ kernel.to_dense().T) % 2
+        prod = (dense.astype(int) @ to_dense(kernel).T) % 2
         assert not prod.any()
 
 
 @_FEW
 @given(dense_matrices(), st.data())
 def test_solve_finds_preimages(dense, data):
-    m = gf2.BitMatrix.from_dense(dense)
+    m = to_matrix(dense)
     x = data.draw(bit_arrays(1, m.cols))[0]
     b = (dense.astype(int) @ x) % 2
-    y = gf2.solve(m, b)
+    y = gf2.solve(m, to_int(b))
     assert y is not None
+    y = to_array(y, m.cols)
     assert np.array_equal((dense.astype(int) @ y) % 2, b)
     assert np.array_equal(y, reference_solve(dense, b))
+    assert gf2.matvec(m, to_int(x)) == to_int(b)
 
 
 @_FEW
 @given(dense_matrices(), st.data())
 def test_solver_agrees_with_solve(dense, data):
-    m = gf2.BitMatrix.from_dense(dense)
+    m = to_matrix(dense)
     solver = gf2.Solver(m)
     expected = None
     for rhs in data.draw(bit_arrays(3, m.rows)):
         expected = reference_solve(dense, rhs)
-        for got in (gf2.solve(m, rhs), solver.solve(rhs)):
+        for got in (gf2.solve(m, to_int(rhs)), solver.solve(to_int(rhs))):
             assert (got is None) == (expected is None)
             if got is not None:
-                assert np.array_equal(got, expected)
+                assert np.array_equal(to_array(got, m.cols), expected)
 
 
 @_FEW
 @given(dense_matrices(), st.data())
 def test_multiply_matches_numpy(a_dense, data):
     b_dense = data.draw(bit_arrays(a_dense.shape[1], data.draw(st.integers(0, 140))))
-    prod = gf2.multiply(gf2.BitMatrix.from_dense(a_dense), gf2.BitMatrix.from_dense(b_dense))
+    prod = gf2.multiply(to_matrix(a_dense), to_matrix(b_dense))
     assert (prod.rows, prod.cols) == (a_dense.shape[0], b_dense.shape[1])
-    assert np.array_equal(prod.to_dense(), (a_dense.astype(int) @ b_dense.astype(int)) % 2)
+    assert np.array_equal(to_dense(prod), (a_dense.astype(int) @ b_dense.astype(int)) % 2)
 
 
 @given(dense_matrices())
@@ -218,10 +234,10 @@ def test_sparse_rank_hashable_row_labels():
 @given(dense_matrices())
 def test_row_space_contains_own_rows(dense):
     span = gf2.IncrementalSpan(dense.shape[1])
-    span.extend(dense)
+    span.extend(to_matrix(dense).row_bits)
     for r in range(dense.shape[0]):
-        assert span.contains(dense[r])
-        assert span.contains(dense[r] ^ dense[0])
+        assert span.contains(to_int(dense[r]))
+        assert span.contains(to_int(dense[r] ^ dense[0]))
 
 
 @_FEW
@@ -229,20 +245,21 @@ def test_row_space_contains_own_rows(dense):
 def test_incremental_span_rank(dense, data):
     cols = dense.shape[1]
     span = gf2.IncrementalSpan(cols)
-    grew = [span.add(row) for row in dense]
+    grew = [span.add(to_int(row)) for row in dense]
     assert span.rank == reference_rank(dense)
     # a row enlarges the span exactly when it raises the rank of the rows so far
     assert grew == [reference_rank(dense[: r + 1]) > reference_rank(dense[:r]) for r in range(len(dense))]
     batch = gf2.IncrementalSpan(cols)
-    assert batch.extend(dense).tolist() == grew
+    assert batch.extend(to_matrix(dense).row_bits) == grew
     assert batch.rank == span.rank
-    assert reference_rank(np.array(span.rows, dtype=np.uint8).reshape(span.rank, cols)) == span.rank
+    echelon = np.array([to_array(row, cols) for row in span.rows], dtype=np.uint8)
+    assert reference_rank(echelon.reshape(span.rank, cols)) == span.rank
     for row in dense:
-        assert span.contains(row)
+        assert span.contains(to_int(row))
     for probe in data.draw(bit_arrays(3, cols)):
         in_span = reference_solve(dense.T, probe) is not None
-        assert span.contains(probe) == in_span == batch.contains(probe)
-        assert batch.copy().add(probe) != in_span
+        assert span.contains(to_int(probe)) == in_span == batch.contains(to_int(probe))
+        assert batch.copy().add(to_int(probe)) != in_span
 
 
 def test_from_support_and_get_bounds():
@@ -275,23 +292,33 @@ def test_constructor_rejects_bad_payloads():
         raise AssertionError(f"accepted {rows}x{cols} payload {payload}")
 
 
+def test_vectors_outside_the_columns_are_rejected():
+    solver = gf2.Solver(gf2.BitMatrix.identity(3))
+    span = gf2.IncrementalSpan(3)
+    for bad in (1 << 3, -1):
+        for call in (solver.solve, span.add, span.contains, lambda v: span.extend([v])):
+            with pytest.raises(ValueError):
+                call(bad)
+    assert solver.solve(0b101) == 0b101 and span.add(0b101) and span.contains(0b101)
+
+
 @_FEW
 @with_empty_shapes
 @given(dense_matrices())
 def test_equal_matrices_compare_and_hash_equal(dense):
     rows, cols = dense.shape
     built = (
-        gf2.BitMatrix.from_dense(dense),
+        to_matrix(dense),
         gf2.BitMatrix.from_support(rows, cols, [np.flatnonzero(row).tolist() for row in dense]),
-        gf2.BitMatrix.from_dense(dense.T).transpose(),
-        gf2.BitMatrix.from_dense(dense).transpose().transpose(),
+        to_matrix(dense.T).transpose(),
+        to_matrix(dense).transpose().transpose(),
     )
     for m in built:
         assert m == built[0] and hash(m) == hash(built[0])
     if rows and cols:
         flipped = dense.copy()
         flipped[rows - 1, cols - 1] ^= 1
-        assert gf2.BitMatrix.from_dense(flipped) != built[0]
+        assert to_matrix(flipped) != built[0]
     assert gf2.BitMatrix.zeros(rows, cols + 1) != gf2.BitMatrix.zeros(rows, cols)
 
 
@@ -299,12 +326,12 @@ def test_equal_matrices_compare_and_hash_equal(dense):
 def test_zeros_and_identity(n):
     zero = gf2.BitMatrix.zeros(n, n + 3)
     assert (zero.rows, zero.cols) == (n, n + 3)
-    assert zero.is_zero() and not zero.to_dense().any()
-    assert zero == gf2.BitMatrix.from_dense(np.zeros((n, n + 3), dtype=np.uint8))
+    assert zero.is_zero() and not to_dense(zero).any()
+    assert zero == to_matrix(np.zeros((n, n + 3), dtype=np.uint8))
     eye = gf2.BitMatrix.identity(n)
-    assert np.array_equal(eye.to_dense(), np.eye(n, dtype=np.uint8))
+    assert np.array_equal(to_dense(eye), np.eye(n, dtype=np.uint8))
     assert eye.is_zero() == (n == 0)
-    m = gf2.BitMatrix.from_dense(np.arange(n * 7).reshape(n, 7) % 3 == 1)
+    m = to_matrix(np.arange(n * 7).reshape(n, 7) % 3 == 1)
     assert gf2.multiply(eye, m) == m
     assert gf2.multiply(m.transpose(), eye) == m.transpose()
     assert gf2.multiply(zero.transpose(), m).is_zero()

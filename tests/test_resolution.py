@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense import to_array, to_dense, to_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,23 @@ def test_yoneda_products(res_a2_small):
     # adjacent one-line classes multiply to zero
     assert not any(R.yoneda_product(h0, h1).coords)
     assert not any(R.yoneda_product(h1, h2).coords)
+
+
+def test_lifted_chain_maps_commute(res_a2_small, h8_small, monkeypatch):
+    for name in ("h0", "h1", "h2"):
+        lifted = R.lift_cocycle(res_a2_small, *R.sphere_class_seed(res_a2_small, name))
+        lifted.verify()
+    key = next(k for k, v in sorted(lifted.rows.items()) if k[0] > lifted.s0 and v)
+    lifted.rows[key] ^= 1
+    with pytest.raises(R.ResolutionError):
+        lifted.verify()
+    # the v1^8 self-map class on the h0^3 cone needs a corrected level
+    corrected = []
+    joint = R._lift_level_with_correction
+    monkeypatch.setattr(R, "_lift_level_with_correction", lambda cm, s: corrected.append(s) or joint(cm, s))
+    sel = R.select_self_map(h8_small, 8, 24, res_a2_small, window_s=11, window_t=30)
+    R.lift_cocycle(h8_small, 8, 24, dict(sel.chosen_seed)).verify()
+    assert corrected
 
 
 def test_ext_dim_at_consistent(res_a2_small):
@@ -265,8 +283,8 @@ def test_diff_dense_matches_per_monomial_assembly(res_a1_small, res_a2_small, h8
         for s in range(len(cplx.gens)):
             for t in range(cplx.max_t + 1):
                 got = cplx.diff_dense(s, t)
-                assert got.dtype == np.uint8
-                assert np.array_equal(got, _reference_diff(cplx, s, t)), (s, t)
+                assert isinstance(got, gf2.BitMatrix)
+                assert np.array_equal(to_dense(got), _reference_diff(cplx, s, t)), (s, t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,10 +300,10 @@ def test_apply_element_matches_per_monomial_assembly(res_a2_small, data):
     a = milnor.MilnorElement(milnor.A2, frozenset(terms))
     n = cplx.free_dim(s, t)
     bits = data.draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)), label="vec")
-    vec = np.array([(bits >> c) & 1 for c in range(n)], dtype=np.uint8)
-    got = cplx.apply_element(a, s, t, vec)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, _reference_apply(cplx, a, s, t, vec))
+    got = cplx.apply_element(a, s, t, bits)
+    assert isinstance(got, int)
+    n_out = cplx.free_dim(s, t + (a.degree or 0))
+    assert np.array_equal(to_array(got, n_out), _reference_apply(cplx, a, s, t, to_array(bits, n)))
 
 
 def test_apply_element_edge_cases(res_a2_small):
@@ -296,9 +314,10 @@ def test_apply_element_edge_cases(res_a2_small):
     n = cplx.free_dim(s, t)
     for vec in (np.zeros(n, dtype=np.uint8), np.ones(n, dtype=np.uint8)):
         for a in (sq4, milnor.MilnorElement.zero(milnor.A2), milnor.MilnorElement.unit(milnor.A2)):
-            got = cplx.apply_element(a, s, t, vec)
-            assert np.array_equal(got, _reference_apply(cplx, a, s, t, vec))
-    assert not cplx.apply_element(sq4, s, t, np.zeros(n, dtype=np.uint8)).any()
+            got = cplx.apply_element(a, s, t, to_int(vec))
+            n_out = cplx.free_dim(s, t + (a.degree or 0))
+            assert np.array_equal(to_array(got, n_out), _reference_apply(cplx, a, s, t, vec))
+    assert cplx.apply_element(sq4, s, t, 0) == 0
 
 
 # ----- Hom-complex deltas against the dense block assembly -----
@@ -313,7 +332,7 @@ def _reference_hom_delta(cplx, M, s, t):
         for h, a in cplx.diff[s + 1][gp]:
             d_src = t - cplx.gens[s][h].t
             for mono in a.terms:
-                block = M.monomial_action_matrix(mono, d_src).to_dense()
+                block = to_dense(M.monomial_action_matrix(mono, d_src))
                 r0, c0 = tgt_off[gp], src_off[h]
                 dense[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] ^= block
     return dense
@@ -330,7 +349,7 @@ def test_hom_delta_matches_dense_assembly(res_a2_small, h8_small):
                 for s in range(len(cplx.gens) - 1):
                     got = R._hom_delta(cplx, M, s, t, cache)
                     assert isinstance(got, gf2.BitMatrix)
-                    assert np.array_equal(got.to_dense(), _reference_hom_delta(cplx, M, s, t)), (s, t)
+                    assert np.array_equal(to_dense(got), _reference_hom_delta(cplx, M, s, t)), (s, t)
                     assert got == R._hom_delta(cplx, M, s, t)
                     deltas.append(got)
                 for s in range(len(deltas) - 1):
