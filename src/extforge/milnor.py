@@ -7,8 +7,12 @@ algebra (conjugate convention).  A(n) has profile (n+1, n, ..., 1); the full
 algebra is the unbounded profile.
 
 Milnor monomials Sq(r_1, ..., r_k) are dual to the monomials
-xi_1^{r_1} ... xi_k^{r_k}.  Products use the Milnor matrix formula with
-multinomial coefficients evaluated mod 2 by the no-carry criterion; the
+xi_1^{r_1} ... xi_k^{r_k}.  Products use the Milnor matrix formula.  Its
+multinomial coefficients are evaluated mod 2 by the no-carry criterion,
+applied per diagonal as the matrix is filled: an entry whose bits meet those
+of an entry already on its diagonal ends that branch of the enumeration.
+``product_mask`` gives a product as an int over the basis of its degree,
+which is the form the resolution engine's multiplication tables use.  The
 coproduct is the componentwise-split form dual to multiplying monomials in
 the polynomial dual.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Optional
 
 
@@ -123,6 +127,10 @@ def normalize_monomial(mono: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+def _sq_str(mono: tuple[int, ...]) -> str:
+    return "Sq(" + ",".join(map(str, mono)) + ")"
+
+
 def monomial_sort_key(mono: tuple[int, ...]):
     """Canonical order: length, then lexicographic."""
     return (len(mono), mono)
@@ -195,7 +203,7 @@ class MilnorElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join("Sq(" + ",".join(map(str, m)) + ")" for m in self.sorted_terms())
+        return " + ".join(_sq_str(m) for m in self.sorted_terms())
 
 
 @lru_cache(maxsize=None)
@@ -231,85 +239,82 @@ def basis_in_degree(algebra: Profile, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out, key=monomial_sort_key))
 
 
-def _multinomial_odd(parts: tuple[int, ...]) -> bool:
-    """Whether (sum parts)! / prod(parts!) is odd: digits add with no carry."""
-    total = sum(parts)
-    return total == reduce(lambda a, b: a | b, parts, 0)
+@lru_cache(maxsize=None)
+def basis_positions(algebra: Profile, n: int) -> dict[tuple[int, ...], int]:
+    """Index of each degree-n basis monomial in ``basis_in_degree``."""
+    return {m: k for k, m in enumerate(basis_in_degree(algebra, n))}
 
 
 @lru_cache(maxsize=None)
 def _product_monomials(algebra: Profile, r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Milnor matrix product of two basis monomials, as a set of monomials."""
+    """Milnor matrix product of two basis monomials, as a set of monomials.
+
+    Enumerates the matrices x_{ij} (i = 0..R, j = 0..S, x_00 unused) with
+    sum_j 2^j x_{ij} = r_i and sum_i x_{ij} = s_j, row by row.  A matrix
+    counts mod 2 exactly when the entries on each diagonal i + j = n add with
+    no carry, so an entry is placed only if its bits are disjoint from the OR
+    of the entries already on its diagonal; the diagonal sum T_n is then that
+    OR.  The column remainders x_{0j} are placed last.
+    """
     R, S = len(r), len(s)
     if R == 0:
         return frozenset([s])
     if S == 0:
         return frozenset([r])
     result: set[tuple[int, ...]] = set()
-    # submatrix entries x[i][j] for i in 1..R, j in 1..S;
-    # x_{i0} and x_{0j} are the row/column remainders
-    col_used = [0] * (S + 1)
+    diag = [0] * (R + S + 1)  # OR of the entries placed on diagonal n
+    col_left = [0] + list(s)  # s_j minus the entries placed in column j
 
-    def finish(x: list[list[int]]):
-        x0 = [0] + [s[j - 1] - col_used[j] for j in range(1, S + 1)]
-        if any(v < 0 for v in x0[1:]):
-            return
-        length = R + S
-        t = [0] * (length + 1)
-        coeff_ok = True
-        for n in range(1, length + 1):
-            parts = []
-            for i in range(0, n + 1):
-                j = n - i
-                if i == 0:
-                    if 1 <= j <= S:
-                        parts.append(x0[j])
-                elif 1 <= i <= R and 0 <= j <= S:
-                    parts.append(x[i][j])
-            parts_t = tuple(p for p in parts if p)
-            if not _multinomial_odd(parts_t):
-                coeff_ok = False
-                break
-            t[n] = sum(parts)
-        if not coeff_ok:
-            return
-        mono = normalize_monomial(tuple(t[1:]))
+    def finish():
+        t = diag[:]
+        for j in range(1, S + 1):
+            if col_left[j] & t[j]:
+                return
+            t[j] |= col_left[j]
+        mono = normalize_monomial(t[1:])
         if not algebra.admits(mono):
             raise ValueError(
-                f"product escapes profile {algebra.describe()}: {mono}; profile is not sub-Hopf"
+                f"product {_sq_str(r)} * {_sq_str(s)} escapes profile {algebra.describe()}: "
+                f"{mono}; profile is not sub-Hopf"
             )
-        if mono in result:
-            result.discard(mono)
-        else:
-            result.add(mono)
+        result.symmetric_difference_update((mono,))
 
-    x = [[0] * (S + 1) for _ in range(R + 1)]
-
-    def rec_row(i: int):
-        if i > R:
-            finish(x)
-            return
-
-        def rec_col(j: int, remaining: int):
-            if j > S:
-                x[i][0] = remaining
-                rec_row(i + 1)
+    def place(i: int, j: int, remaining: int):
+        if j > S:
+            # x_{i0} takes what is left of r_i
+            if remaining & diag[i]:
                 return
-            step = 1 << j
-            max_here = remaining // step
-            for v in range(max_here + 1):
-                if col_used[j] + v > s[j - 1]:
-                    break
-                x[i][j] = v
-                col_used[j] += v
-                rec_col(j + 1, remaining - v * step)
-                col_used[j] -= v
-            x[i][j] = 0
+            diag[i] |= remaining
+            if i == R:
+                finish()
+            else:
+                place(i + 1, 1, r[i])
+            diag[i] ^= remaining
+            return
+        n = i + j
+        on_diag = diag[n]
+        for v in range(min(remaining >> j, col_left[j]) + 1):
+            if v & on_diag:
+                continue
+            diag[n] = on_diag | v
+            col_left[j] -= v
+            place(i, j + 1, remaining - (v << j))
+            col_left[j] += v
+        diag[n] = on_diag
 
-        rec_col(1, r[i - 1])
-
-    rec_row(1)
+    place(1, 1, r[0])
     return frozenset(result)
+
+
+@lru_cache(maxsize=None)
+def product_mask(algebra: Profile, r: tuple[int, ...], s: tuple[int, ...]) -> int:
+    """Sq(r) * Sq(s) as a mask: bit k is the k-th monomial of
+    ``basis_in_degree(algebra, |r| + |s|)``."""
+    pos = basis_positions(algebra, monomial_degree(r) + monomial_degree(s))
+    mask = 0
+    for mono in _product_monomials(algebra, r, s):
+        mask |= 1 << pos[mono]
+    return mask
 
 
 def milnor_product(a: MilnorElement, b: MilnorElement) -> MilnorElement:

@@ -36,6 +36,7 @@ from .milnor import (
     monomial_sort_key,
     monomial_weight,
     normalize_monomial,
+    product_mask,
 )
 
 FORMAT_VERSION = 1
@@ -417,6 +418,8 @@ def _coaction_from_generator_actions(
     n_gens = len(algebra.exponents or ())
     gen_mats = []
     for k in range(n_gens):
+        if not algebra.admits((1 << k,)):
+            raise ComoduleError(f"generator Sq{1 << k} is not in {algebra.describe()}")
         rows = actions.get(f"Sq{1 << k}", [])
         if len(rows) != dim:
             raise ComoduleError(f"generator Sq{1 << k} matrix has wrong row count")
@@ -428,7 +431,6 @@ def _coaction_from_generator_actions(
         monos = basis_in_degree(algebra, degree)
         if not monos:
             continue
-        index = {m: p for p, m in enumerate(monos)}
         candidates: list[tuple[int, tuple[int, ...]]] = []
         rows = []
         for k in range(n_gens):
@@ -436,12 +438,9 @@ def _coaction_from_generator_actions(
             if g > degree:
                 continue
             for m_low in basis_in_degree(algebra, degree - g):
-                prod = milnor_product(
-                    MilnorElement.sq(algebra, g), MilnorElement(algebra, frozenset([m_low]))
-                )
                 candidates.append((k, m_low))
-                rows.append(sorted(index[t] for t in prod.terms))
-        solver = gf2.Solver(gf2.BitMatrix.from_support(len(rows), len(monos), rows).transpose())
+                rows.append(product_mask(algebra, (g,), m_low))
+        solver = gf2.Solver(gf2.BitMatrix(len(rows), len(monos), rows).transpose())
         for p, m in enumerate(monos):
             combo = solver.solve(1 << p)
             if combo is None:

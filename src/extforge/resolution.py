@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import gf2
-from .milnor import MilnorElement, Profile, basis_in_degree, milnor_product
+from .milnor import MilnorElement, Profile, basis_in_degree, product_mask
 from .modules import FiniteModule
 
 RESOLUTION_FORMAT_VERSION = 1
@@ -50,30 +50,26 @@ class LiftError(RuntimeError):
 _mul_cache: dict[tuple, tuple[int, ...]] = {}
 
 
-def _mono_positions(algebra: Profile, d: int) -> dict[tuple[int, ...], int]:
-    return {m: i for i, m in enumerate(basis_in_degree(algebra, d))}
-
-
 def _mul_cols(algebra: Profile, side: str, a: MilnorElement, d: int) -> tuple[int, ...]:
     """Matrix of x -> x * a (side "r") or x -> a * x (side "l") from degree d.
 
     Layout: one Python int per column, column j for the j-th basis monomial
     of degree d; bit k of a column is the coefficient of the k-th basis
-    monomial of degree d + |a|.  Tables are keyed by the whole element, so a
-    block of a differential is one lookup however many terms it has.
+    monomial of degree d + |a|.  A column is the XOR of the ``product_mask``
+    of its monomial with each term of ``a``.  Tables are keyed by the whole
+    element, so a block of a differential is one lookup however many terms
+    it has.
     """
     key = (side, algebra.exponents, a.terms, d)
     out = _mul_cache.get(key)
     if out is None:
         src = basis_in_degree(algebra, d)
         cols = [0] * len(src)
-        if not a.is_zero:
-            tgt_pos = _mono_positions(algebra, d + a.degree)
-            for j, m in enumerate(src):
-                x = MilnorElement(algebra, frozenset([m]))
-                prod = milnor_product(x, a) if side == "r" else milnor_product(a, x)
-                for term in prod.terms:
-                    cols[j] |= 1 << tgt_pos[term]
+        for j, m in enumerate(src):
+            col = 0
+            for term in a.terms:
+                col ^= product_mask(algebra, m, term) if side == "r" else product_mask(algebra, term, m)
+            cols[j] = col
         out = tuple(cols)
         _mul_cache[key] = out
     return out

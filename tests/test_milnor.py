@@ -1,5 +1,9 @@
 """Milnor-basis arithmetic: profiles, bases, and the product."""
 
+import functools
+import operator
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +136,121 @@ def test_augmentation_counts_unit():
     assert MilnorElement.unit(milnor.A1).augmentation() == 1
     assert MilnorElement.sq(milnor.A1, 1).augmentation() == 0
     assert MilnorElement.zero(milnor.A1).augmentation() == 0
+
+
+def reference_product(r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Milnor's matrix formula checked only on complete matrices: every
+    matrix x_{ij} with row sums sum_j 2^j x_{ij} = r_i and column sums
+    sum_i x_{ij} = s_j is enumerated, and kept when each diagonal's
+    multinomial coefficient is odd, i.e. its sum equals its OR."""
+    R, S = len(r), len(s)
+    if R == 0:
+        return frozenset([s])
+    if S == 0:
+        return frozenset([r])
+    result: set[tuple[int, ...]] = set()
+    # submatrix entries x[i][j] for i in 1..R, j in 1..S;
+    # x_{i0} and x_{0j} are the row/column remainders
+    col_used = [0] * (S + 1)
+
+    def finish(x: list[list[int]]):
+        x0 = [0] + [s[j - 1] - col_used[j] for j in range(1, S + 1)]
+        if any(v < 0 for v in x0[1:]):
+            return
+        t = [0] * (R + S + 1)
+        for n in range(1, R + S + 1):
+            parts = []
+            for i in range(0, n + 1):
+                j = n - i
+                if i == 0:
+                    if 1 <= j <= S:
+                        parts.append(x0[j])
+                elif 1 <= i <= R and 0 <= j <= S:
+                    parts.append(x[i][j])
+            if sum(parts) != functools.reduce(operator.or_, parts, 0):
+                return
+            t[n] = sum(parts)
+        result.symmetric_difference_update({milnor.normalize_monomial(t[1:])})
+
+    x = [[0] * (S + 1) for _ in range(R + 1)]
+
+    def rec_row(i: int):
+        if i > R:
+            finish(x)
+            return
+
+        def rec_col(j: int, remaining: int):
+            if j > S:
+                x[i][0] = remaining
+                rec_row(i + 1)
+                return
+            step = 1 << j
+            for v in range(remaining // step + 1):
+                if col_used[j] + v > s[j - 1]:
+                    break
+                x[i][j] = v
+                col_used[j] += v
+                rec_col(j + 1, remaining - v * step)
+                col_used[j] -= v
+            x[i][j] = 0
+
+        rec_col(1, r[i - 1])
+
+    rec_row(1)
+    return frozenset(result)
+
+
+def _basis(algebra: Profile, max_degree: int) -> list[tuple[int, ...]]:
+    return [m for n in range(max_degree + 1) for m in milnor.basis_in_degree(algebra, n)]
+
+
+A2_BASIS = _basis(milnor.A2, milnor.A2.top_degree())
+A3_BASIS = _basis(milnor.A3, milnor.A3.top_degree())
+
+
+def test_product_formula_matches_reference_on_all_of_a2():
+    assert len(A2_BASIS) == 64
+    for r in A2_BASIS:
+        for s in A2_BASIS:
+            assert milnor._product_monomials.__wrapped__(milnor.A2, r, s) == reference_product(r, s), (r, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(A3_BASIS), st.sampled_from(A3_BASIS))
+def test_product_formula_matches_reference_on_a3(r, s):
+    assert milnor._product_monomials.__wrapped__(milnor.A3, r, s) == reference_product(r, s)
+
+
+@st.composite
+def full_pairs(draw, max_degree: int):
+    """Two full-algebra monomials of total degree at most max_degree."""
+    d1 = draw(st.integers(0, max_degree))
+    d2 = draw(st.integers(0, max_degree - d1))
+    r = draw(st.sampled_from(milnor.basis_in_degree(milnor.FULL, d1)))
+    s = draw(st.sampled_from(milnor.basis_in_degree(milnor.FULL, d2)))
+    return r, s
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_pairs(48))
+def test_product_formula_matches_reference_on_full_algebra(pair):
+    r, s = pair
+    assert milnor._product_monomials.__wrapped__(milnor.FULL, r, s) == reference_product(r, s)
+
+
+def test_product_mask_decodes_to_milnor_product_on_a2():
+    A = milnor.A2
+    for r in A2_BASIS:
+        for s in A2_BASIS:
+            monos = milnor.basis_in_degree(A, milnor.monomial_degree(r) + milnor.monomial_degree(s))
+            mask = milnor.product_mask(A, r, s)
+            assert mask.bit_length() <= len(monos)
+            decoded = {monos[k] for k in range(len(monos)) if mask >> k & 1}
+            expected = milnor.milnor_product(MilnorElement.sq(A, *r), MilnorElement.sq(A, *s)).terms
+            assert decoded == expected, (r, s)
+
+
+def test_product_escaping_profile_names_factors():
+    # (1, 2) is not sub-Hopf: Sq(0,2) * Sq(1) has the term Sq(0,0,1)
+    with pytest.raises(ValueError, match=r"Sq\(0,2\) \* Sq\(1\) escapes profile A\[1, 2\]: \(0, 0, 1\)"):
+        milnor._product_monomials(Profile((1, 2)), (0, 2), (1,))
