@@ -63,14 +63,14 @@ def monomial_degree(mono: Monomial) -> int:
 
 
 def _within(profile: Profile, mono: Monomial) -> bool:
-    if profile.is_full:
+    # read the exponents directly rather than through Profile.admits, so the
+    # oracle's truncation stays its own code; generators past the profile
+    # have exponent 0, so their only allowed power is 0
+    bounds = profile.exponents
+    if bounds is None:
         return True
-    for i, e in enumerate(mono, start=1):
-        bound = profile.exponent(i)
-        cap = 0 if bound is None else (1 << bound)
-        if e >= cap and e > 0:
-            return False
-        if e >= cap:
+    for i, e in enumerate(mono):
+        if e >= (1 << bounds[i] if i < len(bounds) else 1):
             return False
     return True
 
@@ -345,29 +345,49 @@ class CobarComplex:
                 yield from itertools.product(*(self._by_degree[e] for e in degrees), (j,))
 
     def apply_d(self, elem: tuple) -> tuple[tuple, ...]:
-        """Parity-reduced image terms of one basis element."""
+        """Image terms of one basis element, each exactly once.
+
+        No term can repeat, so none needs parity reduction.  A split at
+        position p keeps positions 0..p-1 and puts at p a letter of strictly
+        lower degree than elem[p]; so terms from different split positions
+        differ at the smaller position, and the coaction terms, which keep
+        every letter of elem, differ from all split terms.  The pairs of one
+        letter's splits, and those of one coaction row, are distinct because
+        psi and the coaction tables are parity-reduced when built.
+        """
         words = elem[:-1]
-        acc: dict[tuple, int] = {}
+        out: list[tuple] = []
         for pos in range(len(words)):
             head = elem[:pos]
             tail = elem[pos + 1 :]
             for pair in self.splits[elem[pos]]:
-                b = head + pair + tail
-                acc[b] = acc.get(b, 0) ^ 1
+                out.append(head + pair + tail)
         for pair in self.coaction[elem[-1]]:
-            b = words + pair
-            acc[b] = acc.get(b, 0) ^ 1
-        return tuple(b for b, bit in acc.items() if bit)
+            out.append(words + pair)
+        return tuple(out)
 
     def verify_d_squared(self, s: int, t: int) -> None:
-        """Check d(d(x)) = 0 for every basis element of Omega^{s,t}."""
+        """Check d(d(x)) = 0 for every basis element of Omega^{s,t}.
+
+        Each term y of Omega^{s+1,t} met in some d(x) is differentiated
+        once: d(y) is kept as an int mask whose bits label the terms of
+        Omega^{s+2,t}, interned in order of first appearance.  d(d(x)) is
+        then the XOR of the masks of the terms of d(x).  The memo lives only
+        for this call.
+        """
+        labels: dict[tuple, int] = {}
+        images: dict[tuple, int] = {}
         for elem in self.elements(s, t):
-            acc: dict[tuple, int] = {}
+            acc = 0
             for term in self.apply_d(elem):
-                for term2 in self.apply_d(term):
-                    acc[term2] = acc.get(term2, 0) ^ 1
-            bad = [b for b, bit in acc.items() if bit]
-            if bad:
+                mask = images.get(term)
+                if mask is None:
+                    mask = 0
+                    for term2 in self.apply_d(term):
+                        mask ^= 1 << labels.setdefault(term2, len(labels))
+                    images[term] = mask
+                acc ^= mask
+            if acc:
                 raise AssertionError(f"d^2 != 0 on {elem} at (s,t)=({s},{t})")
 
 
@@ -387,10 +407,13 @@ def cotor(
     an engine FiniteModule (converted through the duality bridge).  Only
     nonzero dimensions appear in the result.
 
-    With check_d_squared on, every basis element in slices of up to a few
-    thousand elements gets an exhaustive d^2 = 0 check; that covers all of
-    the A(1) range and the low-degree A(2) range, and
+    With check_d_squared on, every basis element in slices of up to
+    _D2_CHECK_CAP elements gets an exhaustive d^2 = 0 check; that covers all
+    of the A(1) range and the low-degree A(2) range, and
     CobarComplex.verify_d_squared can audit any specific slice on demand.
+    The check differentiates each term of the slice above once and keeps
+    its image as a bit mask only while that slice is checked: holding the
+    images on for the rank pass would cost more memory than it saves time.
     Every computed dimension is also asserted non-negative, which a broken
     differential or rank bookkeeping would quickly violate.
     """

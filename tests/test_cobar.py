@@ -76,11 +76,97 @@ def test_budget_guard():
         cobar.cotor(milnor.A1, max_s=6, max_stem=15)
 
 
+COEFFICIENTS = {"trivial": cobar.trivial_comodule, "bo1": cobar.bo1_comodule}
+
+
+def _reference_apply_d(cx, elem):
+    # the differential with every term parity-reduced through a dict, in the
+    # order the terms are generated
+    words = elem[:-1]
+    acc: dict = {}
+    for pos in range(len(words)):
+        head = elem[:pos]
+        tail = elem[pos + 1 :]
+        for pair in cx.splits[elem[pos]]:
+            b = head + pair + tail
+            acc[b] = acc.get(b, 0) ^ 1
+    for pair in cx.coaction[elem[-1]]:
+        b = words + pair
+        acc[b] = acc.get(b, 0) ^ 1
+    return tuple(b for b, bit in acc.items() if bit)
+
+
+def _reference_d_squared_nonzero(cx, s, t):
+    # d(d(x)) by brute force, one element at a time
+    for elem in cx.elements(s, t):
+        acc: dict = {}
+        for term in _reference_apply_d(cx, elem):
+            for term2 in _reference_apply_d(cx, term):
+                acc[term2] = acc.get(term2, 0) ^ 1
+        if any(acc.values()):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("algebra", [milnor.A1, milnor.A2], ids=["A1", "A2"])
+def test_apply_d_matches_parity_reduced_reference(algebra, coeff):
+    """apply_d lists each image term once, in the reference's order."""
+    cx = cobar.CobarComplex(algebra, COEFFICIENTS[coeff](algebra), max_t=12)
+    checked = 0
+    for s in range(0, 5):
+        for t in range(0, 13):
+            for elem in cx.elements(s, t):
+                assert cx.apply_d(elem) == _reference_apply_d(cx, elem)
+                checked += 1
+    assert checked > 100
+
+
 def test_d_squared_vanishes_on_small_slices():
-    cx = cobar.CobarComplex(milnor.A1, cobar.trivial_comodule(milnor.A1), max_t=12)
-    for s in (1, 2, 3):
-        for t in range(s, 10):
-            cx.verify_d_squared(s, t)
+    for algebra in (milnor.A1, milnor.A2):
+        for comodule in COEFFICIENTS.values():
+            cx = cobar.CobarComplex(algebra, comodule(algebra), max_t=12)
+            for s in (1, 2, 3):
+                for t in range(s, 10):
+                    cx.verify_d_squared(s, t)
+
+
+def _drop_xi2_split(cx):
+    # forget the one splitting xibar_2 -> [xibar_1 | xibar_1^2], so that
+    # d no longer squares to zero
+    xi2 = cx.letters.index((0, 1))
+    assert len(cx.splits[xi2]) == 1
+    cx.splits[xi2] = ()
+
+
+def test_d_squared_check_catches_a_broken_differential(monkeypatch):
+    trivial = cobar.trivial_comodule(milnor.A1)
+    cx = cobar.CobarComplex(milnor.A1, trivial, max_t=8)
+    cx.verify_d_squared(1, 4)
+    _drop_xi2_split(cx)
+    assert _reference_d_squared_nonzero(cx, 1, 4)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0 .* at \(s,t\)=\(1,4\)"):
+        cx.verify_d_squared(1, 4)
+
+    build = cobar.CobarComplex.__init__
+
+    def broken_init(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        _drop_xi2_split(self)
+
+    monkeypatch.setattr(cobar.CobarComplex, "__init__", broken_init)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0"):
+        cobar.cotor(milnor.A1, max_s=2, max_stem=4, check_d_squared=True)
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("algebra", [milnor.A1, milnor.A2], ids=["A1", "A2"])
+def test_d_squared_check_leaves_dims_unchanged(algebra, coeff):
+    comodule = COEFFICIENTS[coeff](algebra)
+    checked = cobar.cotor(algebra, comodule, max_s=5, max_stem=8, check_d_squared=True)
+    unchecked = cobar.cotor(algebra, comodule, max_s=5, max_stem=8, check_d_squared=False)
+    assert checked == unchecked
+    assert checked
 
 
 def test_cotor_line_one_a2():
