@@ -38,6 +38,7 @@ from . import resolution as resolution_mod
 from .milnor import Profile
 from .modules import FiniteModule
 from .resolution import (
+    RESOLUTION_FORMAT_VERSION,
     FreeComplex,
     FreeResolution,
     ResolutionError,
@@ -222,7 +223,7 @@ def resolve_cached(
     if max_s <= 0 or max_t <= 0:
         raise UsageError("resolution bounds must be positive")
     algebra = ALGEBRAS[algebra_name]
-    key = f"res-{algebra_name}-s{max_s}-t{max_t}"
+    key = f"res-v{RESOLUTION_FORMAT_VERSION}-{algebra_name}-s{max_s}-t{max_t}"
     if not force:
         entry = read_cache_entry(cache_dir, key)
         if entry is not None:
@@ -675,7 +676,7 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
 def _suite_les(args: argparse.Namespace) -> list[VerifyItem]:
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     res, _ = resolve_cached("A2", 14, 44, cache_dir, force=args.force, log=_say)
-    sphere = ext_f2(res)
+    sphere = ext_f2(res, install_products=())
     X = cone(res, *H8_CLASS)
     chart = ext_cell(res, X, modules.trivial(ALGEBRAS["A2"]), "F2", max_s=res.max_s - 2)
     theta = attaching_action(sphere, *H8_CLASS)

@@ -66,9 +66,15 @@ class Profile:
         return None if h is None else 1 << h
 
     def admits(self, mono: tuple[int, ...]) -> bool:
-        if self.exponents is None:
+        exponents = self.exponents
+        if exponents is None:
             return True
-        return all(r < (1 << self.exponent(i + 1)) for i, r in enumerate(mono))
+        # entries past the profile have exponent 0, so bound 1
+        n = len(exponents)
+        for i, r in enumerate(mono):
+            if r >= (1 << exponents[i] if i < n else 1):
+                return False
+        return True
 
     def dimension(self) -> int:
         if self.exponents is None:

@@ -19,6 +19,7 @@ positive part of A//A(2)*, tensor products, and duals.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -47,14 +48,14 @@ class ComoduleError(ValueError):
 
 
 def _add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return normalize_monomial(
-        tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-    )
+    """Entrywise sum of two normalized exponent vectors.
 
-
-def _in_profile(profile: Profile, mono: tuple[int, ...]) -> bool:
-    return profile.admits(mono)
+    The sum needs no normalizing: its entries are non-negative, and its last
+    entry is at least the last entry of the longer input, which is positive.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(operator.add, a, b)) + a[len(b):]
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +137,7 @@ def conjugate_dual_monomial(profile: Profile, mono: tuple[int, ...]) -> frozense
                 for base in result:
                     for f in factor:
                         term = _add_exponents(base, normalize_monomial(f))
-                        if not _in_profile(profile, term):
+                        if not profile.admits(term):
                             continue
                         if term in new:
                             new.discard(term)
@@ -272,11 +273,12 @@ class FiniteModule:
 
     def check_valid(self) -> None:
         """Grading, counit, and coassociativity of the stored coaction."""
+        admits = self.algebra.admits
         for i, terms in enumerate(self.coaction):
             deg_i = self.basis[i].degree
             counit_hits = 0
             for tgt, mono in terms:
-                if not _in_profile(self.algebra, mono):
+                if not admits(mono):
                     raise ComoduleError(f"coaction of {self.basis[i].label} leaves the profile")
                 if self.basis[tgt].degree + monomial_degree(mono) != deg_i:
                     raise ComoduleError(f"graded coaction violated at {self.basis[i].label}")
@@ -286,18 +288,32 @@ class FiniteModule:
                         raise ComoduleError(f"counit term of {self.basis[i].label} is off-diagonal")
             if counit_hits != 1:
                 raise ComoduleError(f"counit axiom fails at {self.basis[i].label}")
+        # psi(mu) with both factors in the profile, once per distinct mu
+        psi_in_profile: dict[tuple[int, ...], list] = {}
         for i in range(len(self.basis)):
             lhs: set = set()
             for j, gamma in self.coaction[i]:
                 for k, delta in self.coaction[j]:
                     key = (k, delta, gamma)
-                    lhs.symmetric_difference_update({key})
+                    if key in lhs:
+                        lhs.remove(key)
+                    else:
+                        lhs.add(key)
             rhs: set = set()
             for k, mu in self.coaction[i]:
-                for left, right in psi_dual_monomial(mu):
-                    if _in_profile(self.algebra, left) and _in_profile(self.algebra, right):
-                        key = (k, left, right)
-                        rhs.symmetric_difference_update({key})
+                splits = psi_in_profile.get(mu)
+                if splits is None:
+                    splits = psi_in_profile[mu] = [
+                        (left, right)
+                        for left, right in psi_dual_monomial(mu)
+                        if admits(left) and admits(right)
+                    ]
+                for left, right in splits:
+                    key = (k, left, right)
+                    if key in rhs:
+                        rhs.remove(key)
+                    else:
+                        rhs.add(key)
             if lhs != rhs:
                 raise ComoduleError(f"coassociativity fails at {self.basis[i].label}")
 
@@ -490,9 +506,9 @@ def dual_comodule_from_monomials(
     for m in monos:
         terms: list[CoactionTerm] = []
         for left, right in psi_dual_monomial(m):
-            if left_kill is not None and not _in_profile(left_kill, left):
+            if left_kill is not None and not left_kill.admits(left):
                 continue
-            if not _in_profile(algebra, right):
+            if not algebra.admits(right):
                 continue
             if left not in index:
                 if right == () and left == m:
@@ -555,7 +571,7 @@ def tensor(M: FiniteModule, N: FiniteModule) -> FiniteModule:
         for ti, gi in M.coaction[i]:
             for tj, gj in N.coaction[j]:
                 prod = _add_exponents(gi, gj)
-                if not _in_profile(M.algebra, prod):
+                if not M.algebra.admits(prod):
                     continue
                 key = (index[(ti, tj)], prod)
                 terms[key] = terms.get(key, 0) ^ 1
@@ -701,6 +717,16 @@ class SplittingReport:
     rhs: tuple[tuple[int, int], ...]
 
 
+@lru_cache(maxsize=None)
+def _bo_poincare(i: int) -> PoincareSeries:
+    """Poincare series of bo(i) over A(2).
+
+    The reports below read nothing else of bo(i), so each bo(i) is built and
+    validated once per process, and only its series is kept.
+    """
+    return bo(i).poincare()
+
+
 def verify_splitting(max_degree: int) -> SplittingReport:
     """Compare the graded dimensions of the truncated positive part of
     A//A(2)* with the direct sum of 8i-suspended bo(i)."""
@@ -708,7 +734,7 @@ def verify_splitting(max_degree: int) -> SplittingReport:
     total: dict[int, int] = {}
     i = 1
     while 8 * i <= max_degree:
-        p = bo(i).poincare().shift(8 * i)
+        p = _bo_poincare(i).shift(8 * i)
         for d, c in p.coefficients:
             if d <= max_degree:
                 total[d] = total.get(d, 0) + c
@@ -745,19 +771,19 @@ def verify_bo_sequence(j: int) -> BoSequenceReport:
     bo(2j) and bo(2j+1) to bo(j), bo(j-1) and tmf-Brown-Gitler pieces."""
     if j < 1:
         raise ValueError("j must be positive")
-    a2qa1 = quotient_hopf_module(A2, A1)
-    mid = tensor(a2qa1, tmf_bg(j - 1))
+    # the series of a tensor product is the product of the factors' series
+    mid = quotient_hopf_module(A2, A1).poincare() * tmf_bg(j - 1).poincare()
     # even: 0 -> S^{8j} bo_j -> bo_{2j} -> mid -> S^{8j+9} bo_{j-1} -> 0
     even = (
-        bo(j).poincare().shift(8 * j)
-        + mid.poincare()
-        + bo(2 * j).poincare() * PoincareSeries.from_dict({0: -1})
-        + bo(j - 1).poincare().shift(8 * j + 9) * PoincareSeries.from_dict({0: -1})
+        _bo_poincare(j).shift(8 * j)
+        + mid
+        + _bo_poincare(2 * j) * PoincareSeries.from_dict({0: -1})
+        + _bo_poincare(j - 1).shift(8 * j + 9) * PoincareSeries.from_dict({0: -1})
     )
     # odd: 0 -> S^{8j} bo_j (x) bo_1 -> bo_{2j+1} -> mid -> 0
     odd = (
-        tensor(bo(j), bo(1)).poincare().shift(8 * j)
-        + mid.poincare()
-        + bo(2 * j + 1).poincare() * PoincareSeries.from_dict({0: -1})
+        (_bo_poincare(j) * _bo_poincare(1)).shift(8 * j)
+        + mid
+        + _bo_poincare(2 * j + 1) * PoincareSeries.from_dict({0: -1})
     )
     return BoSequenceReport(j, not even.coefficients, not odd.coefficients, even.coefficients, odd.coefficients)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from extforge import cli, resolution
+from extforge import cli, modules, resolution
 
 
 def run(argv, capsys=None):
@@ -53,6 +53,11 @@ def test_slug_is_filesystem_safe():
 # ----- cache store -----
 
 
+def _key(rest):
+    """Cache key of a resolution entry: format version, algebra and bounds."""
+    return f"res-v{resolution.RESOLUTION_FORMAT_VERSION}-{rest}"
+
+
 def test_resolve_cache_hit_and_corruption(tmp_path, capsys):
     code, out, _ = run(
         ["resolve", "--algebra", "A1", "--max-s", "5", "--max-t", "12", "--cache-dir", str(tmp_path)],
@@ -65,7 +70,7 @@ def test_resolve_cache_hit_and_corruption(tmp_path, capsys):
     )
     assert code == 0 and "cache hit" in out
 
-    payload = tmp_path / "res-A1-s5-t12.json.gz"
+    payload = tmp_path / f"{_key('A1-s5-t12')}.json.gz"
     payload.write_bytes(payload.read_bytes() + b"x")
     code, out, err = run(
         ["resolve", "--algebra", "A1", "--max-s", "5", "--max-t", "12", "--cache-dir", str(tmp_path)],
@@ -116,12 +121,25 @@ def _add_unit_coefficient(doc):
 def test_resolve_rejects_an_entry_that_does_not_load(tmp_path, capsys, edit):
     args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
     assert run(args, capsys)[0] == 0
-    _rehash_payload(tmp_path, "res-A1-s4-t10", edit)
+    _rehash_payload(tmp_path, _key("A1-s4-t10"), edit)
     code, _, err = run(args, capsys)
-    assert code == 1 and "res-A1-s4-t10" in err and "--force" in err
+    assert code == 1 and _key("A1-s4-t10") in err and "--force" in err
     code, out, _ = run(args + ["--force"], capsys)
     assert code == 0 and "computed and cached" in out
     assert run(args, capsys)[0] == 0
+
+
+def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, monkeypatch):
+    args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
+    assert run(args, capsys)[0] == 0
+    assert (tmp_path / f"{_key('A1-s4-t10')}.json.gz").exists()
+    bumped = resolution.RESOLUTION_FORMAT_VERSION + 1
+    monkeypatch.setattr(resolution, "RESOLUTION_FORMAT_VERSION", bumped)
+    monkeypatch.setattr(cli, "RESOLUTION_FORMAT_VERSION", bumped)
+    code, out, _ = run(args, capsys)
+    assert code == 0 and f"computed and cached: res-v{bumped}-A1-s4-t10" in out
+    code, out, _ = run(args, capsys)
+    assert code == 0 and f"cache hit: res-v{bumped}-A1-s4-t10" in out
 
 
 def test_numpy_stays_out_of_the_package():
@@ -144,13 +162,13 @@ def test_numpy_stays_out_of_the_package():
 
 def test_manifest_contents(tmp_path):
     cli.main(["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)])
-    doc = json.loads((tmp_path / "res-A1-s4-t10.manifest.json").read_text())
+    doc = json.loads((tmp_path / f"{_key('A1-s4-t10')}.manifest.json").read_text())
     manifest = cli.CacheManifest.from_json_dict(doc)
     assert manifest.format_version == cli.MANIFEST_FORMAT
     assert manifest.algebra == "A[2, 1]"
     assert manifest.exponents == [2, 1]
     assert (manifest.max_s, manifest.max_t) == (4, 10)
-    assert list(manifest.content_hashes) == ["res-A1-s4-t10.json.gz"]
+    assert list(manifest.content_hashes) == [f"{_key('A1-s4-t10')}.json.gz"]
     assert manifest.producer
 
 
@@ -158,7 +176,7 @@ def test_cache_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.CACHE_ENV_VAR, str(tmp_path / "envcache"))
     code, out, _ = run(["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8"], capsys)
     assert code == 0
-    assert (tmp_path / "envcache" / "res-A1-s3-t8.json.gz").exists()
+    assert (tmp_path / "envcache" / f"{_key('A1-s3-t8')}.json.gz").exists()
 
 
 # ----- ext command -----
@@ -276,6 +294,16 @@ def test_verify_fast_suites(capsys):
         lines = out.strip().splitlines()
         assert all(ln.startswith("ok\t") for ln in lines)
         assert lines[-1].startswith("ok\tsummary\t")
+
+
+def test_verify_bo_sequences_same_output_for_every_job_count(capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        modules._bo_poincare.cache_clear()
+        code, out, _ = run(["verify", "bo-sequences", "--jobs", jobs], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_unknown_suite(capsys):

@@ -38,6 +38,26 @@ def test_profile_exponents():
     assert milnor.A2.admits((7, 3, 1)) and not milnor.A2.admits((8,))
 
 
+def _admits_reference(profile: Profile, mono) -> bool:
+    """Profile.admits as first written, through Profile.exponent."""
+    if profile.exponents is None:
+        return True
+    return all(r < (1 << profile.exponent(i + 1)) for i, r in enumerate(mono))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.just(milnor.FULL),
+        st.lists(st.integers(1, 4), max_size=4).map(lambda hs: Profile(tuple(hs))),
+    ),
+    st.lists(st.integers(-3, 20), max_size=7).map(tuple),
+)
+def test_admits_matches_reference(profile, mono):
+    # tails longer than the profile and negative entries included
+    assert profile.admits(mono) == _admits_reference(profile, mono)
+
+
 def test_basis_counts_by_degree():
     total = sum(len(milnor.basis_in_degree(milnor.A2, n)) for n in range(24))
     assert total == 64

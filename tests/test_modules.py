@@ -1,10 +1,14 @@
 """Finite module layer: constructors, Cartan tensor action, exact-sequence checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extforge import milnor, modules
+from extforge.modules import BasisElement, ComoduleError, FiniteModule
 
 
 def test_trivial_module():
@@ -98,6 +102,117 @@ def test_dualize_mirrors_dimensions():
     d.verify_action()
     dd = modules.dualize(d)
     assert dd.poincare().as_dict() == bo1.poincare().as_dict()
+
+
+# ----- check_valid on broken coactions -----
+
+
+@pytest.mark.parametrize(
+    "degrees, coaction, message",
+    [
+        # Sq(8) is not in A(2): xi1^8 leaves the profile
+        ([0, 8], [[(0, ())], [(1, ()), (0, (8,))]], "coaction of b leaves the profile"),
+        # xi1 has degree 1, not 4
+        ([0, 4], [[(0, ())], [(1, ()), (0, (1,))]], "graded coaction violated at b"),
+        ([0, 4], [[(0, ())], [(0, (4,))]], "counit axiom fails at b"),
+        ([0, 0], [[(1, ())], [(1, ())]], "counit term of a is off-diagonal"),
+    ],
+    ids=["outside-profile", "grading", "missing-counit", "off-diagonal-counit"],
+)
+def test_check_valid_rejects_broken_coaction(degrees, coaction, message):
+    basis = [BasisElement(label, d) for label, d in zip("ab", degrees)]
+    with pytest.raises(ComoduleError, match=message):
+        FiniteModule(milnor.A2, basis, coaction)
+
+
+def test_check_valid_rejects_a_dropped_coaction_term():
+    # psi(xi3) has the splits xi2^2 (x) xi1 and xi1^4 (x) xi2 as well, so
+    # dropping 1 (x) xi3 from rho(x3) breaks coassociativity, not the grading
+    bo3 = modules.bo(3)
+    labels = [b.label for b in bo3.basis]
+    x3, unit = labels.index("x3"), labels.index("1")
+    coaction = [list(terms) for terms in bo3.coaction]
+    coaction[x3].remove((unit, (0, 0, 1)))
+    FiniteModule(bo3.algebra, bo3.basis, bo3.coaction)
+    with pytest.raises(ComoduleError, match="coassociativity fails at x3"):
+        FiniteModule(bo3.algebra, bo3.basis, coaction)
+
+
+# ----- helpers pinned to their first definitions -----
+
+
+normalized_monomials = st.lists(st.integers(0, 20), max_size=6).map(milnor.normalize_monomial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalized_monomials, normalized_monomials)
+def test_add_exponents_matches_normalized_padded_sum(a, b):
+    n = max(len(a), len(b))
+    padded = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    assert modules._add_exponents(a, b) == milnor.normalize_monomial(padded)
+
+
+def _splitting_from_fresh_modules(max_degree):
+    """verify_splitting with every bo(i) built afresh."""
+    target = modules.abar_truncation(max_degree).poincare().as_dict()
+    total = {}
+    i = 1
+    while 8 * i <= max_degree:
+        for d, c in modules.bo(i).poincare().shift(8 * i).coefficients:
+            if d <= max_degree:
+                total[d] = total.get(d, 0) + c
+        i += 1
+    bad = next((d for d in range(max_degree + 1) if total.get(d, 0) != target.get(d, 0)), None)
+    return modules.SplittingReport(
+        max_degree, bad is None, bad, tuple(sorted(total.items())), tuple(sorted(target.items()))
+    )
+
+
+def _bo_sequence_from_fresh_modules(j):
+    """verify_bo_sequence with every module, bo(j) (x) bo(1) too, built afresh."""
+    minus = modules.PoincareSeries.from_dict({0: -1})
+    bo = modules.bo
+    mid = modules.tensor(modules.quotient_hopf_module(milnor.A2, milnor.A1), modules.tmf_bg(j - 1))
+    even = (
+        bo(j).poincare().shift(8 * j)
+        + mid.poincare()
+        + bo(2 * j).poincare() * minus
+        + bo(j - 1).poincare().shift(8 * j + 9) * minus
+    )
+    odd = (
+        modules.tensor(bo(j), bo(1)).poincare().shift(8 * j)
+        + mid.poincare()
+        + bo(2 * j + 1).poincare() * minus
+    )
+    return modules.BoSequenceReport(
+        j, not even.coefficients, not odd.coefficients, even.coefficients, odd.coefficients
+    )
+
+
+def test_reports_match_freshly_built_modules():
+    modules._bo_poincare.cache_clear()
+    expected = [_splitting_from_fresh_modules(48)] + [_bo_sequence_from_fresh_modules(j) for j in (1, 2, 3)]
+    # the first pass fills the memo of bo(i) series, the second reads it
+    for _ in range(2):
+        got = [modules.verify_splitting(48)] + [modules.verify_bo_sequence(j) for j in (1, 2, 3)]
+        assert got == expected
+    assert modules._bo_poincare.cache_info().currsize == 8  # bo(0) .. bo(7)
+
+
+def test_reports_match_when_threads_share_the_memo():
+    expected = [modules.verify_splitting(48)] + [modules.verify_bo_sequence(j) for j in (1, 2, 3)]
+    modules._bo_poincare.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(modules.verify_splitting, 48)] + [
+                pool.submit(modules.verify_bo_sequence, j) for j in (1, 2, 3)
+            ]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def test_splitting_through_48():
