@@ -11,11 +11,11 @@ tensored into the coefficient module.  ``ext "bo:1 ⊗ h8v18"`` therefore
 means Ext of the cone object with bo_1 coefficients.
 
 Cache entries are gzip JSON payloads with a manifest sidecar recording
-format version, algebra, bounds, self-map selections, content hashes,
-and producer version.  Any mismatch between manifest and payload hash
-invalidates the entry: it is reported, never silently recomputed, unless
---force is given.  Manifest writes take an advisory file lock so that
-concurrent invocations sharing a cache directory do not interleave.
+format version, algebra, bounds, content hashes, and producer version.
+Any mismatch between manifest and payload hash invalidates the entry: it
+is reported, never silently recomputed, unless --force is given.
+Manifest writes take an advisory file lock so that concurrent invocations
+sharing a cache directory do not interleave.
 
 Exit codes: 0 success, 1 verification/cache failure, 2 usage error.
 """
@@ -44,9 +44,8 @@ from .resolution import (
     ResolutionError,
     attaching_action,
     cone,
-    ext_cell,
     ext_f2,
-    ext_module,
+    ext_over_complex,
     les_consistency,
     minimal_resolution,
     select_self_map,
@@ -90,7 +89,6 @@ class CacheManifest:
     exponents: Optional[list[int]]
     max_s: int
     max_t: int
-    self_map_selections: dict[str, list[int]] = field(default_factory=dict)
     content_hashes: dict[str, str] = field(default_factory=dict)
     producer: str = __version__
 
@@ -101,7 +99,6 @@ class CacheManifest:
             "exponents": self.exponents,
             "max_s": self.max_s,
             "max_t": self.max_t,
-            "self_map_selections": self.self_map_selections,
             "content_hashes": self.content_hashes,
             "producer": self.producer,
         }
@@ -114,7 +111,6 @@ class CacheManifest:
             exponents=doc["exponents"],
             max_s=doc["max_s"],
             max_t=doc["max_t"],
-            self_map_selections={k: list(v) for k, v in doc["self_map_selections"].items()},
             content_hashes=dict(doc["content_hashes"]),
             producer=doc["producer"],
         )
@@ -160,7 +156,6 @@ def write_cache_entry(
     algebra: Profile,
     max_s: int,
     max_t: int,
-    selections: Optional[dict[str, list[int]]] = None,
 ) -> Path:
     """Store payload and manifest atomically under the advisory lock."""
     payload = _gzip_bytes(json.dumps(payload_doc, sort_keys=True, separators=(",", ":")))
@@ -170,7 +165,6 @@ def write_cache_entry(
         exponents=list(algebra.exponents) if algebra.exponents is not None else None,
         max_s=max_s,
         max_t=max_t,
-        self_map_selections=selections or {},
         content_hashes={f"{key}.json.gz": _sha256(payload)},
     )
     with _locked(cache_dir):
@@ -275,7 +269,6 @@ class DescriptorPlan:
 
 
 _CONE_ATOMS = ("h8", "h8v18")
-_MODULE_ATOMS = ("f2", "bo", "tmfbg", "abar", "a2qa1")
 
 
 def parse_descriptor(text: str) -> DescriptorPlan:
@@ -376,7 +369,6 @@ def build_chart(
     cache_dir: Path,
     force: bool = False,
     jobs: int = 1,
-    with_reps: bool = True,
     log: Callable[[str], None] = lambda _s: None,
 ) -> tuple["resolution_mod.ExtChart", dict[str, list[int]]]:
     """Resolve, build any cone object, and compute the requested chart."""
@@ -389,7 +381,7 @@ def build_chart(
     if plan.cell is None:
         if not plan.factors or all(f.atom == "f2" and not f.suspension for f in plan.factors):
             return ext_f2(res), selections
-        return ext_module(res, M, max_s=max_s, max_t=max_t, with_reps=with_reps), selections
+        return ext_over_complex(res, M, M.name or "module", max_s=max_s, max_t=max_t), selections
     X = cone(res, *H8_CLASS)
     if plan.cell == "h8v18":
         ws = min(res.max_s - 1, V18_CLASS[0] + 3)
@@ -405,7 +397,7 @@ def build_chart(
         selections["h8v18"] = list(sel.attach_coords)
         X = cone(X, *V18_CLASS, sel.attach_coords)
     name = plan.text if plan.factors else "F2"
-    chart = ext_cell(res, X, M, name, max_s=max_s, max_t=max_t, with_reps=with_reps)
+    chart = ext_over_complex(X, M, name, max_s=max_s, max_t=max_t)
     return chart, selections
 
 
@@ -563,7 +555,7 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
             chart = (
                 ext_f2(res, install_products=())
                 if M is None
-                else ext_module(res, M, with_reps=False)
+                else ext_over_complex(res, M, coeff_name, with_reps=False)
             )
             engine = {
                 (s, t): d
@@ -678,7 +670,7 @@ def _suite_les(args: argparse.Namespace) -> list[VerifyItem]:
     res, _ = resolve_cached("A2", 14, 44, cache_dir, force=args.force, log=_say)
     sphere = ext_f2(res, install_products=())
     X = cone(res, *H8_CLASS)
-    chart = ext_cell(res, X, modules.trivial(ALGEBRAS["A2"]), "F2", max_s=res.max_s - 2)
+    chart = ext_over_complex(X, modules.trivial(ALGEBRAS["A2"]), "F2", max_s=res.max_s - 2)
     theta = attaching_action(sphere, *H8_CLASS)
     report = les_consistency(sphere, chart, theta, *H8_CLASS)
     return [

@@ -12,14 +12,11 @@ multinomial coefficients are evaluated mod 2 by the no-carry criterion,
 applied per diagonal as the matrix is filled: an entry whose bits meet those
 of an entry already on its diagonal ends that branch of the enumeration.
 ``product_mask`` gives a product as an int over the basis of its degree,
-which is the form the resolution engine's multiplication tables use.  The
-coproduct is the componentwise-split form dual to multiplying monomials in
-the polynomial dual.
+which is the form the resolution engine's multiplication tables use.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -99,7 +96,6 @@ class Profile:
         return "A" if self.exponents is None else "A" + repr(list(self.exponents))
 
 
-A0 = Profile.subalgebra(0)
 A1 = Profile.subalgebra(1)
 A2 = Profile.subalgebra(2)
 A3 = Profile.subalgebra(3)
@@ -336,21 +332,3 @@ def milnor_product(a: MilnorElement, b: MilnorElement) -> MilnorElement:
                 else:
                     acc.add(mono)
     return MilnorElement(a.algebra, frozenset(acc))
-
-
-@lru_cache(maxsize=None)
-def coproduct(algebra: Profile, mono: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """All componentwise splits (a, b) with a + b = mono, canonical order.
-
-    This is the coproduct dual to multiplication of dual monomials; for a
-    sub-Hopf profile both tensor factors are automatically within bounds.
-    """
-    splits = []
-    ranges = [range(r + 1) for r in mono]
-    for a in itertools.product(*ranges):
-        left = normalize_monomial(a)
-        right = normalize_monomial(tuple(r - v for r, v in zip(mono, a)))
-        if algebra.admits(left) and algebra.admits(right):
-            splits.append((left, right))
-    splits.sort(key=lambda p: (monomial_sort_key(p[0]), monomial_sort_key(p[1])))
-    return tuple(splits)

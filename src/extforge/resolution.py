@@ -609,35 +609,6 @@ def ext_over_complex(
     return chart
 
 
-def ext_module(
-    res: FreeResolution,
-    M: FiniteModule,
-    coefficients: Optional[str] = None,
-    max_s: Optional[int] = None,
-    max_t: Optional[int] = None,
-    with_reps: bool = True,
-) -> ExtChart:
-    """Ext of a module coefficient over the minimal resolution."""
-    name = coefficients if coefficients is not None else (M.name or "module")
-    return ext_over_complex(res, M, name, max_s=max_s, max_t=max_t, with_reps=with_reps)
-
-
-def ext_cell(
-    res: Optional[FreeResolution],
-    X: FreeComplex,
-    M: FiniteModule,
-    coefficients: Optional[str] = None,
-    max_s: Optional[int] = None,
-    max_t: Optional[int] = None,
-    with_reps: bool = True,
-) -> ExtChart:
-    """Ext of a cell object with module coefficients, with cell provenance."""
-    if res is not None and res.algebra != X.algebra:
-        raise ResolutionError("cell object and resolution live over different algebras")
-    name = coefficients if coefficients is not None else (M.name or "module")
-    return ext_over_complex(X, M, name, max_s=max_s, max_t=max_t, with_reps=with_reps)
-
-
 def ext_dim_at(
     cplx: FreeComplex,
     M: FiniteModule,
@@ -703,17 +674,6 @@ NAMED_CLASS_BIDEGREES = {
 }
 
 
-def sphere_class_seed(res: FreeResolution, name: str) -> tuple[int, int, dict[int, int]]:
-    """Seed cocycle of a named class; requires a 1-dimensional spot."""
-    s0, t0 = NAMED_CLASS_BIDEGREES[name]
-    idx = [i for i, g in enumerate(res.level_gens(s0)) if g.t == t0]
-    if len(idx) != 1:
-        raise ResolutionError(
-            f"class {name} needs dim 1 at ({s0},{t0}); found {len(idx)}"
-        )
-    return s0, t0, {idx[0]: 1}
-
-
 def install_named_product(chart: ExtChart, name: str) -> bool:
     """Install multiplication matrices for a named class on a chart over the
     minimal resolution.  Returns False (with a note) when the class's
@@ -721,18 +681,25 @@ def install_named_product(chart: ExtChart, name: str) -> bool:
     res = chart.source
     if not isinstance(res, FreeResolution):
         raise ResolutionError("named products install on resolution charts")
-    try:
-        s0, t0, seed = sphere_class_seed(res, name)
-    except ResolutionError as exc:
-        chart.notes[f"product_{name}"] = f"not installed: {exc}"
+    s0, t0 = NAMED_CLASS_BIDEGREES[name]
+    found = len(_trivial_layout(res, s0, t0))
+    if found != 1:
+        chart.notes[f"product_{name}"] = (
+            f"not installed: class {name} needs dim 1 at ({s0},{t0}); found {found}"
+        )
         return False
-    lifted = lift_cocycle(res, s0, t0, seed)
-    chart.products[name] = {
+    chart.products[name] = _product_matrices(chart, _lift_class(res, s0, t0)[0])
+    return True
+
+
+def _product_matrices(chart: ExtChart, lifted: "ChainMap") -> dict[tuple[int, int], gf2.BitMatrix]:
+    """Multiplication matrices of a lifted class, keyed by source bidegree,
+    for every chart spot whose product stays in range."""
+    return {
         spot: _product_matrix_at(chart, lifted, spot)
         for spot in sorted(chart.dims)
-        if spot[0] + s0 <= chart.max_s and spot[1] + t0 <= chart.max_t
+        if spot[0] + lifted.s0 <= chart.max_s and spot[1] + lifted.t0 <= chart.max_t
     }
-    return True
 
 
 def _product_matrix_at(
@@ -748,8 +715,8 @@ def _product_matrix_at(
     if M is None:
         # trivial coefficients over a minimal resolution: unit coefficients
         # of the lifted chain map
-        tgt_idx = [i for i, g in enumerate(cplx.level_gens(s + s0)) if g.t == t + t0]
-        src_idx = [i for i, g in enumerate(cplx.level_gens(s)) if g.t == t]
+        tgt_idx = _trivial_layout(cplx, s + s0, t + t0)
+        src_idx = _trivial_layout(cplx, s, t)
         offsets, _ = cplx.block_layout(s, t)
         rows = []
         for gi in tgt_idx:
@@ -973,17 +940,11 @@ def yoneda_product(a: ChartClass, b: ChartClass) -> ChartClass:
     s_new, t_new = a.s + b.s, a.t + b.t
     if s_new > b.chart.max_s or t_new > b.chart.max_t:
         raise ResolutionError("product lands outside the computed bound")
-    seed = {}
-    pos = 0
-    for i, g in enumerate(res.level_gens(a.s)):
-        if g.t == a.t:
-            seed[i] = a.coords[pos]
-            pos += 1
-    lifted = lift_cocycle(res, a.s, a.t, seed)
-    mat = _product_matrix_at(b.chart, lifted, (b.s, b.t))
     tdim = b.chart.dim(s_new, t_new)
-    if tdim == 0:
-        return ChartClass(b.chart, s_new, t_new, ())
+    if a.is_zero() or tdim == 0:
+        return ChartClass(b.chart, s_new, t_new, (0,) * tdim)
+    lifted = _lift_class(res, a.s, a.t, a.coords)[0]
+    mat = _product_matrix_at(b.chart, lifted, (b.s, b.t))
     vec = gf2.matvec(mat, sum(c << i for i, c in enumerate(b.coords)))
     return ChartClass(b.chart, s_new, t_new, tuple((vec >> i) & 1 for i in range(tdim)))
 
@@ -1016,6 +977,29 @@ def _local_cohomology(cplx: FreeComplex, s: int, t: int) -> CohomologyLocal:
     return _canonical_reps(cur, _trivial_delta(cplx, s - 1, t) if s >= 1 else None)
 
 
+def _lift_class(
+    cplx: FreeComplex, s0: int, t0: int, class_coords: Optional[Sequence[int]] = None
+) -> tuple[ChainMap, tuple[int, ...], int]:
+    """Chain map lifting a trivial-coefficient class of the complex at
+    (s0,t0), given and checked as in ``cone``; returned with the class
+    coordinates and the dimension of the spot."""
+    local = _local_cohomology(cplx, s0, t0)
+    if local.dim == 0:
+        raise ResolutionError(f"no class at ({s0},{t0}) to cone on")
+    if class_coords is None:
+        if local.dim != 1:
+            raise ResolutionError(
+                f"attaching class ambiguous: dim {local.dim} at ({s0},{t0}); pass class_coords"
+            )
+        class_coords = (1,)
+    coords = tuple(int(c) & 1 for c in class_coords)
+    if len(coords) != local.dim or not any(coords):
+        raise ResolutionError("attaching class must be a nonzero class in range")
+    cocycle_vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
+    seed = {i: (cocycle_vec >> p) & 1 for p, i in enumerate(_trivial_layout(cplx, s0, t0))}
+    return lift_cocycle(cplx, s0, t0, seed), coords, local.dim
+
+
 # ----- cones -----
 
 
@@ -1032,22 +1016,7 @@ def cone(
     spot is 1-dimensional.  Zero and ambiguous attaching classes are
     rejected.
     """
-    local = _local_cohomology(base, s0, t0)
-    if local.dim == 0:
-        raise ResolutionError(f"no class at ({s0},{t0}) to cone on")
-    if class_coords is None:
-        if local.dim != 1:
-            raise ResolutionError(
-                f"attaching class ambiguous: dim {local.dim} at ({s0},{t0}); pass class_coords"
-            )
-        class_coords = (1,)
-    coords = tuple(int(c) & 1 for c in class_coords)
-    if len(coords) != local.dim or not any(coords):
-        raise ResolutionError("attaching class must be a nonzero class in range")
-    cocycle_vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
-    spot_gens = _trivial_layout(base, s0, t0)
-    seed = {i: (cocycle_vec >> p) & 1 for p, i in enumerate(spot_gens)}
-    phi = lift_cocycle(base, s0, t0, seed)
+    phi, coords, dim = _lift_class(base, s0, t0, class_coords)
 
     shift_stem, shift_filt = t0 - s0 + 1, s0 - 1
     new_cells = list(base.cells) + [
@@ -1086,7 +1055,7 @@ def cone(
             for i in range(len(base.level_gens(s_src))):
                 row = [(b2_index[(s - 1, h)], a) for h, a in base.diff[s_src][i]]
                 diff[s].append(tuple(row))
-    record = AttachingRecord(s0, t0, coords, local.dim)
+    record = AttachingRecord(s0, t0, coords, dim)
     return CellObject(
         base.algebra,
         max_s,
@@ -1275,26 +1244,13 @@ def attaching_action(
     chart: ExtChart, s0: int, t0: int, class_coords: Optional[Sequence[int]] = None
 ) -> dict[tuple[int, int], gf2.BitMatrix]:
     """Multiplication matrices of a trivial-coefficient class of the chart's
-    own complex, keyed by source bidegree.  Used to feed the long exact
-    sequence check for a cone over that class."""
+    own complex, keyed by source bidegree.  The class is given and checked
+    as in ``cone``.  Used to feed the long exact sequence check for a cone
+    over that class."""
     cplx = chart.source
     if cplx is None:
         raise ResolutionError("attaching action needs a chart with runtime handles")
-    local = _local_cohomology(cplx, s0, t0)
-    if class_coords is None:
-        if local.dim != 1:
-            raise ResolutionError(f"class ambiguous: dim {local.dim} at ({s0},{t0})")
-        class_coords = (1,)
-    coords = tuple(int(c) & 1 for c in class_coords)
-    vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
-    spot_gens = _trivial_layout(cplx, s0, t0)
-    seed = {i: (vec >> p) & 1 for p, i in enumerate(spot_gens)}
-    lifted = lift_cocycle(cplx, s0, t0, seed)
-    return {
-        spot: _product_matrix_at(chart, lifted, spot)
-        for spot in sorted(chart.dims)
-        if spot[0] + s0 <= chart.max_s and spot[1] + t0 <= chart.max_t
-    }
+    return _product_matrices(chart, _lift_class(cplx, s0, t0, class_coords)[0])
 
 
 # ----- long exact sequence consistency -----

@@ -46,7 +46,7 @@ def h8(res_a2) -> R.FreeComplex:
 
 @pytest.fixture(scope="session")
 def h8_chart(res_a2, h8) -> R.ExtChart:
-    return R.ext_cell(res_a2, h8, modules.trivial(milnor.A2), "F2", max_s=29)
+    return R.ext_over_complex(h8, modules.trivial(milnor.A2), "F2", max_s=29)
 
 
 @pytest.fixture(scope="session")

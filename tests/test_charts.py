@@ -24,7 +24,7 @@ def sphere_chart():
 def cell_chart():
     res = R.minimal_resolution(milnor.A2, 10, 26)
     h8 = R.cone(res, 3, 3)
-    return R.ext_cell(res, h8, modules.trivial(milnor.A2), "F2", max_s=9)
+    return R.ext_over_complex(h8, modules.trivial(milnor.A2), "F2", max_s=9)
 
 
 def test_tsv_roundtrip_dims(sphere_chart, cell_chart):

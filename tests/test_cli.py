@@ -117,6 +117,20 @@ def _add_unit_coefficient(doc):
     doc["diff"][s][i].append([h, [[]]])
 
 
+def test_manifest_with_a_self_map_selections_key_still_hits(tmp_path, capsys):
+    # manifests of the same format version written before the field was
+    # dropped carry an empty "self_map_selections"
+    args = ["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8", "--cache-dir", str(tmp_path)]
+    assert run(args, capsys)[0] == 0
+    manifest_path = tmp_path / f"{_key('A1-s3-t8')}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert "self_map_selections" not in manifest
+    manifest["self_map_selections"] = {}
+    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    code, out, _ = run(args, capsys)
+    assert code == 0 and "cache hit" in out
+
+
 @pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient])
 def test_resolve_rejects_an_entry_that_does_not_load(tmp_path, capsys, edit):
     args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]

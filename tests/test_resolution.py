@@ -1,5 +1,7 @@
 """Resolution engine: minimality, cones, products, LES, self-map selection."""
 
+import itertools
+
 import numpy as np
 import pytest
 from dense import to_array, to_dense, to_int
@@ -38,7 +40,7 @@ def test_level_zero_is_one_generator(res_a1_small):
 def test_ext_f2_matches_module_route(res_a1_small):
     # the Hom route stops one level short: it needs the next differential
     by_counting = R.ext_f2(res_a1_small, install_products=())
-    by_hom = R.ext_module(res_a1_small, modules.trivial(milnor.A1), "F2")
+    by_hom = R.ext_over_complex(res_a1_small, modules.trivial(milnor.A1), "F2")
     assert by_hom.dims == {
         k: v for k, v in by_counting.dims.items() if k[0] <= by_hom.max_s
     }
@@ -88,7 +90,7 @@ def test_cells_of_tensor():
 def test_h0_cube_les(res_a2_small):
     sphere = R.ext_f2(res_a2_small)
     h8 = R.cone(res_a2_small, 3, 3)
-    chart = R.ext_cell(res_a2_small, h8, modules.trivial(milnor.A2), "F2", max_s=11)
+    chart = R.ext_over_complex(h8, modules.trivial(milnor.A2), "F2", max_s=11)
     theta = R.attaching_action(sphere, 3, 3)
     report = R.les_consistency(sphere, chart, theta, 3, 3)
     assert report.ok, report.failures[:5]
@@ -116,9 +118,77 @@ def test_yoneda_products(res_a2_small):
     assert not any(R.yoneda_product(h1, h2).coords)
 
 
+def test_attaching_action_validates_its_class(res_a2_small):
+    sphere = R.ext_f2(res_a2_small, install_products=())
+    assert sphere.dim(3, 3) == 1 and sphere.dim(3, 4) == 0
+    for bad in ((0,), (1, 0), ()):
+        with pytest.raises(R.ResolutionError, match="nonzero class in range"):
+            R.attaching_action(sphere, 3, 3, bad)
+    with pytest.raises(R.ResolutionError, match=r"no class at \(3,4\)"):
+        R.attaching_action(sphere, 3, 4)
+
+
+# ----- class lifting against the seeds built by generator index -----
+
+
+def _reference_seed(res, s0, t0, coords):
+    """Seed of a class of a minimal resolution, coordinate k on the k-th
+    generator of internal degree t0 at level s0."""
+    idx = [i for i, g in enumerate(res.level_gens(s0)) if g.t == t0]
+    assert len(idx) == len(coords)
+    return dict(zip(idx, coords))
+
+
+def _reference_yoneda(a, b):
+    """Coordinates of a * b, lifting a's index seed whatever the class."""
+    res = a.chart.source
+    lifted = R.lift_cocycle(res, a.s, a.t, _reference_seed(res, a.s, a.t, a.coords))
+    mat = R._product_matrix_at(b.chart, lifted, (b.s, b.t))
+    tdim = b.chart.dim(a.s + b.s, a.t + b.t)
+    if tdim == 0:
+        return ()
+    vec = gf2.matvec(mat, sum(c << i for i, c in enumerate(b.coords)))
+    return tuple((vec >> i) & 1 for i in range(tdim))
+
+
+def test_lift_class_matches_index_seeds(res_a2_small):
+    full = R.minimal_resolution(milnor.FULL, 4, 18)
+    for res, names in ((res_a2_small, ("h0", "h1", "h2")), (full, ("h0", "h4"))):
+        for name in names:
+            s0, t0 = R.NAMED_CLASS_BIDEGREES[name]
+            lifted, coords, dim = R._lift_class(res, s0, t0)
+            assert (coords, dim) == ((1,), 1)
+            assert lifted.rows == R.lift_cocycle(res, s0, t0, _reference_seed(res, s0, t0, (1,))).rows
+    # h3 is no class over A(2): its spot is empty, and no seed is built
+    assert not R._trivial_layout(res_a2_small, *R.NAMED_CLASS_BIDEGREES["h3"])
+    with pytest.raises(R.ResolutionError, match=r"no class at \(1,8\)"):
+        R._lift_class(res_a2_small, 1, 8)
+
+
+def test_yoneda_product_matches_index_seed_products(res_a2_small):
+    sphere = R.ext_f2(res_a2_small, install_products=())
+    one_line = [t for s, t in sphere.nonzero() if s == 1]
+    assert one_line == [1, 2, 4]
+    checked = nonzero = 0
+    for t0 in one_line:
+        for x_coords in ((0,), (1,)):
+            x = R.chart_class(sphere, 1, t0, x_coords)
+            for s, t in sphere.nonzero():
+                if s + 1 > sphere.max_s or t + t0 > sphere.max_t:
+                    continue
+                for y_coords in itertools.product((0, 1), repeat=sphere.dim(s, t)):
+                    y = R.chart_class(sphere, s, t, y_coords)
+                    got = R.yoneda_product(x, y)
+                    assert (got.s, got.t) == (s + 1, t + t0)
+                    assert got.coords == _reference_yoneda(x, y), (t0, x_coords, s, t, y_coords)
+                    checked += 1
+                    nonzero += any(got.coords)
+    assert checked > 100 and nonzero > 10
+
+
 def test_lifted_chain_maps_commute(res_a2_small, h8_small, monkeypatch):
     for name in ("h0", "h1", "h2"):
-        lifted = R.lift_cocycle(res_a2_small, *R.sphere_class_seed(res_a2_small, name))
+        lifted = R._lift_class(res_a2_small, *R.NAMED_CLASS_BIDEGREES[name])[0]
         lifted.verify()
     key = next(k for k, v in sorted(lifted.rows.items()) if k[0] > lifted.s0 and v)
     lifted.rows[key] ^= 1
@@ -135,7 +205,7 @@ def test_lifted_chain_maps_commute(res_a2_small, h8_small, monkeypatch):
 
 def test_ext_dim_at_consistent(res_a2_small):
     bo1 = modules.bo(1)
-    chart = R.ext_module(res_a2_small, bo1, "bo1", max_s=8, max_t=24, with_reps=False)
+    chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24, with_reps=False)
     for spot in ((3, 15), (5, 11), (6, 18)):
         assert R.ext_dim_at(res_a2_small, bo1, *spot) == chart.dims.get(spot, 0)
 
@@ -143,7 +213,7 @@ def test_ext_dim_at_consistent(res_a2_small):
 def test_change_of_rings(res_a1_small, res_a2_small):
     """Ext_{A(2)}(dual of A(2)//A(1)) agrees with Ext_{A(1)}(F2)."""
     qm = modules.dualize(modules.quotient_hopf_module(milnor.A2, milnor.A1))
-    cor = R.ext_module(res_a2_small, qm, "cor", max_s=6, max_t=17, with_reps=False)
+    cor = R.ext_over_complex(res_a2_small, qm, "cor", max_s=6, max_t=17, with_reps=False)
     sphere = R.ext_f2(res_a1_small, install_products=())
     for s in range(7):
         for t in range(18):
@@ -154,7 +224,7 @@ def test_vanishing_edge_is_supremum(res_a2_small):
     from fractions import Fraction
 
     slope = Fraction(1, 5)
-    chart = R.ext_module(res_a2_small, modules.bo(1), "bo1", with_reps=False)
+    chart = R.ext_over_complex(res_a2_small, modules.bo(1), "bo1", with_reps=False)
     c = R.vanishing_edge(chart, slope, 0)
     tight = 0
     for (s, t), d in chart.dims.items():
@@ -166,7 +236,7 @@ def test_vanishing_edge_is_supremum(res_a2_small):
 
 def test_chart_labels_and_cells(res_a2_small):
     h8 = R.cone(res_a2_small, 3, 3)
-    chart = R.ext_cell(res_a2_small, h8, modules.trivial(milnor.A2), "F2", max_s=10)
+    chart = R.ext_over_complex(h8, modules.trivial(milnor.A2), "F2", max_s=10)
     for (s, t), labels in chart.labels.items():
         assert len(labels) == chart.dims[(s, t)]
         for lbl in labels:
@@ -209,8 +279,8 @@ def test_permuted_basis_gives_identical_chart(res_a2_small):
     assert bo11.dimension_in(11) >= 2
     permuted = _permute_module_in_degree(bo11, 11)
     permuted.verify_action()
-    a = R.ext_module(res_a2_small, bo11, "m", max_s=8, max_t=24, with_reps=False)
-    b = R.ext_module(res_a2_small, permuted, "m", max_s=8, max_t=24, with_reps=False)
+    a = R.ext_over_complex(res_a2_small, bo11, "m", max_s=8, max_t=24, with_reps=False)
+    b = R.ext_over_complex(res_a2_small, permuted, "m", max_s=8, max_t=24, with_reps=False)
     assert a.dims == b.dims
     assert charts.render_tsv(a) == charts.render_tsv(b)
 
