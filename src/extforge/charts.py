@@ -234,7 +234,8 @@ def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
         lo_stem, hi_stem, hi_filt = 0, 0, 0
     if style.stem_range is not None:
         lo_stem, hi_stem = style.stem_range
-    lo_stem = min(lo_stem, 0)
+    else:
+        lo_stem = min(lo_stem, 0)
     unit, margin = style.unit, style.margin
     width = 2 * margin + (hi_stem - lo_stem) * unit
     height = 2 * margin + hi_filt * unit

@@ -10,12 +10,13 @@ At most one cone atom (h8, h8v18) may appear; the remaining factors are
 tensored into the coefficient module.  ``ext "bo:1 ⊗ h8v18"`` therefore
 means Ext of the cone object with bo_1 coefficients.
 
-Cache entries are gzip JSON payloads with a manifest sidecar recording
-format version, algebra, bounds, content hashes, and producer version.
-Any mismatch between manifest and payload hash invalidates the entry: it
-is reported, never silently recomputed, unless --force is given.
-Manifest writes take an advisory file lock so that concurrent invocations
-sharing a cache directory do not interleave.
+Each cache entry is one gzip JSON file, checked on every read by the
+CRC-32 and length in its gzip trailer; the payload then loads only if its
+format version, minimality and bounds match its key.  A failed check is
+reported, never silently recomputed, unless --force is given.  Each
+writer renames its own temp file onto the entry, so concurrent invocations
+sharing a cache directory see either the whole old file or the whole new
+one.
 
 Exit codes: 0 success, 1 verification/cache failure, 2 usage error.
 """
@@ -24,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import gzip
-import hashlib
 import json
 import os
 import sys
+import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -51,7 +53,6 @@ from .resolution import (
     select_self_map,
 )
 
-MANIFEST_FORMAT = 1
 CACHE_ENV_VAR = "EXTFORGE_CACHE_DIR"
 ALGEBRAS: dict[str, Profile] = {
     "A1": milnor.A1,
@@ -80,46 +81,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "extforge"
 
 
-@dataclass
-class CacheManifest:
-    """Sidecar metadata; a hash mismatch invalidates the payload."""
-
-    format_version: int
-    algebra: str
-    exponents: Optional[list[int]]
-    max_s: int
-    max_t: int
-    content_hashes: dict[str, str] = field(default_factory=dict)
-    producer: str = __version__
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "algebra": self.algebra,
-            "exponents": self.exponents,
-            "max_s": self.max_s,
-            "max_t": self.max_t,
-            "content_hashes": self.content_hashes,
-            "producer": self.producer,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "CacheManifest":
-        return CacheManifest(
-            format_version=doc["format_version"],
-            algebra=doc["algebra"],
-            exponents=doc["exponents"],
-            max_s=doc["max_s"],
-            max_t=doc["max_t"],
-            content_hashes=dict(doc["content_hashes"]),
-            producer=doc["producer"],
-        )
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _gzip_bytes(text: str) -> bytes:
     # mtime pinned so identical payloads compress to identical bytes
     import io
@@ -130,77 +91,30 @@ def _gzip_bytes(text: str) -> bytes:
     return buf.getvalue()
 
 
-def _locked(cache_dir: Path):
-    """Advisory exclusive lock on the cache directory's lock file."""
-    import contextlib
-    import fcntl
-
-    @contextlib.contextmanager
-    def ctx():
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        lock_path = cache_dir / ".lock"
-        with open(lock_path, "w") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
-
-    return ctx()
-
-
-def write_cache_entry(
-    cache_dir: Path,
-    key: str,
-    payload_doc: dict,
-    algebra: Profile,
-    max_s: int,
-    max_t: int,
-) -> Path:
-    """Store payload and manifest atomically under the advisory lock."""
+def write_cache_entry(cache_dir: Path, key: str, payload_doc: dict) -> Path:
+    """Store one gzip payload; a rename from a per-writer temp file makes it atomic."""
     payload = _gzip_bytes(json.dumps(payload_doc, sort_keys=True, separators=(",", ":")))
-    manifest = CacheManifest(
-        format_version=MANIFEST_FORMAT,
-        algebra=algebra.describe(),
-        exponents=list(algebra.exponents) if algebra.exponents is not None else None,
-        max_s=max_s,
-        max_t=max_t,
-        content_hashes={f"{key}.json.gz": _sha256(payload)},
-    )
-    with _locked(cache_dir):
-        payload_path = cache_dir / f"{key}.json.gz"
-        manifest_path = cache_dir / f"{key}.manifest.json"
-        tmp = payload_path.with_suffix(".gz.tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(payload_path)
-        mtmp = manifest_path.with_suffix(".json.tmp")
-        mtmp.write_text(json.dumps(manifest.to_json_dict(), indent=1, sort_keys=True))
-        mtmp.replace(manifest_path)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    payload_path = cache_dir / f"{key}.json.gz"
+    tmp = cache_dir / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp.write_bytes(payload)
+    tmp.replace(payload_path)
     return payload_path
 
 
-def read_cache_entry(cache_dir: Path, key: str) -> Optional[tuple[dict, CacheManifest]]:
-    """Load and validate one entry; None when absent, CacheError when corrupt."""
-    payload_path = cache_dir / f"{key}.json.gz"
-    manifest_path = cache_dir / f"{key}.manifest.json"
-    if not payload_path.exists() or not manifest_path.exists():
+def read_cache_entry(cache_dir: Path, key: str) -> Optional[dict]:
+    """Load one entry; None when absent, CacheError when gzip's CRC-32 or
+    length check, or the JSON inside, fails."""
+    try:
+        raw = (cache_dir / f"{key}.json.gz").read_bytes()
+    except FileNotFoundError:
         return None
     try:
-        manifest = CacheManifest.from_json_dict(json.loads(manifest_path.read_text()))
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CacheError(f"unreadable cache manifest {manifest_path}: {exc}") from exc
-    if manifest.format_version != MANIFEST_FORMAT:
+        return json.loads(gzip.decompress(raw))
+    except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:
         raise CacheError(
-            f"cache entry {key} has format {manifest.format_version}, expected {MANIFEST_FORMAT}"
-        )
-    raw = payload_path.read_bytes()
-    recorded = manifest.content_hashes.get(payload_path.name)
-    if recorded != _sha256(raw):
-        raise CacheError(
-            f"corrupt cache entry {key}: payload hash mismatch; rerun with --force to recompute"
-        )
-    doc = json.loads(gzip.decompress(raw).decode("utf-8"))
-    return doc, manifest
+            f"corrupt cache entry {key} ({exc}); rerun with --force to recompute"
+        ) from exc
 
 
 def resolve_cached(
@@ -219,11 +133,8 @@ def resolve_cached(
     algebra = ALGEBRAS[algebra_name]
     key = f"res-v{RESOLUTION_FORMAT_VERSION}-{algebra_name}-s{max_s}-t{max_t}"
     if not force:
-        entry = read_cache_entry(cache_dir, key)
-        if entry is not None:
-            doc, manifest = entry
-            if (manifest.max_s, manifest.max_t) != (max_s, max_t):
-                raise CacheError(f"cache entry {key} records different bounds than its name")
+        doc = read_cache_entry(cache_dir, key)
+        if doc is not None:
             try:
                 res = FreeComplex.from_json_dict(doc)
                 if isinstance(res, FreeResolution):
@@ -236,10 +147,15 @@ def resolve_cached(
                 ) from exc
             if not isinstance(res, FreeResolution):
                 raise CacheError(f"cache entry {key} is not a plain resolution")
+            if (res.algebra, res.max_s, res.max_t) != (algebra, max_s, max_t):
+                raise CacheError(
+                    f"cache entry {key} holds another algebra or bounds than its name; "
+                    "rerun with --force to recompute"
+                )
             log(f"cache hit: {key}")
             return res, True
     res = minimal_resolution(algebra, max_s, max_t)
-    write_cache_entry(cache_dir, key, res.to_json_dict(), algebra, max_s, max_t)
+    write_cache_entry(cache_dir, key, res.to_json_dict())
     log(f"computed and cached: {key}")
     return res, False
 
@@ -361,6 +277,24 @@ H8_CLASS = (3, 3)  # h0^3
 V18_CLASS = (8, 24)  # v1^8 on the cone
 
 
+def _h8v18_cone(
+    res: FreeResolution,
+) -> tuple["resolution_mod.SelfMapSelection", Optional[FreeComplex]]:
+    """Select the v1^8 self-map on the cone on h0^3 over ``res``; returns the
+    selection and the cone on it, or None in place of the cone when the
+    selection is not unique."""
+    X = cone(res, *H8_CLASS)
+    ws = min(res.max_s - 1, V18_CLASS[0] + 3)
+    wt = min(res.max_t, V18_CLASS[1] + 6)
+    if wt < V18_CLASS[1] + 4:
+        raise UsageError(
+            f"bounds too small to select the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map; "
+            f"need --max-t >= {V18_CLASS[1] + 4}"
+        )
+    sel = select_self_map(X, *V18_CLASS, res, window_s=ws, window_t=wt)
+    return sel, (cone(X, *V18_CLASS, sel.attach_coords) if sel.unique else None)
+
+
 def build_chart(
     plan: DescriptorPlan,
     algebra_name: str,
@@ -382,20 +316,13 @@ def build_chart(
         if not plan.factors or all(f.atom == "f2" and not f.suspension for f in plan.factors):
             return ext_f2(res), selections
         return ext_over_complex(res, M, M.name or "module", max_s=max_s, max_t=max_t), selections
-    X = cone(res, *H8_CLASS)
-    if plan.cell == "h8v18":
-        ws = min(res.max_s - 1, V18_CLASS[0] + 3)
-        wt = min(res.max_t, V18_CLASS[1] + 6)
-        if wt < V18_CLASS[1] + 4:
-            raise UsageError(
-                f"bounds too small to select the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map; "
-                f"need --max-t >= {V18_CLASS[1] + 4}"
-            )
-        sel = select_self_map(X, *V18_CLASS, res, window_s=ws, window_t=wt)
-        if not sel.unique:
+    if plan.cell == "h8":
+        X = cone(res, *H8_CLASS)
+    else:
+        sel, X = _h8v18_cone(res)
+        if X is None:
             raise ResolutionError(f"self-map selection not canonical: {sel.note}")
         selections["h8v18"] = list(sel.attach_coords)
-        X = cone(X, *V18_CLASS, sel.attach_coords)
     name = plan.text if plan.factors else "F2"
     chart = ext_over_complex(X, M, name, max_s=max_s, max_t=max_t)
     return chart, selections
@@ -626,8 +553,7 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     """Low-stem d1-target windows on the v1^8 cone must be zero groups."""
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     res, _ = resolve_cached("A2", 13, 48, cache_dir, force=args.force, log=_say)
-    X = cone(res, *H8_CLASS)
-    sel = select_self_map(X, *V18_CLASS, res, window_s=11, window_t=30)
+    sel, H8V = _h8v18_cone(res)
     items: list[VerifyItem] = [
         (
             "vanishing-windows.selection",
@@ -635,9 +561,8 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
             f"ambiguity {sel.ambiguity_dim}, candidates {sel.candidate_dim}",
         )
     ]
-    if not sel.unique:
+    if H8V is None:
         return items
-    H8V = cone(X, *V18_CLASS, sel.attach_coords)
     bo1 = modules.bo(1)
     powers = {1: bo1, 2: modules.tensor(bo1, bo1)}
     powers[3] = modules.tensor(powers[2], bo1)

@@ -985,7 +985,7 @@ def _lift_class(
     coordinates and the dimension of the spot."""
     local = _local_cohomology(cplx, s0, t0)
     if local.dim == 0:
-        raise ResolutionError(f"no class at ({s0},{t0}) to cone on")
+        raise ResolutionError(f"no class at ({s0},{t0})")
     if class_coords is None:
         if local.dim != 1:
             raise ResolutionError(

@@ -118,6 +118,12 @@ def test_window_restricts_svg(sphere_chart):
     assert len(GLYPH_RE.findall(svg)) == shown
 
 
+def test_window_starts_the_layout_at_its_first_stem(sphere_chart):
+    style = charts.ChartStyle(stem_range=(8, 12))
+    layout = charts.chart_layout(sphere_chart, style)
+    assert layout.width == 2 * style.margin + 4 * style.unit
+
+
 def test_render_text_grid(sphere_chart):
     text = charts.render_text(sphere_chart, max_stem=8)
     lines = text.splitlines()

@@ -1,6 +1,7 @@
-"""Command surface: descriptors, cache manifest discipline, exit codes."""
+"""Command surface: descriptors, cache entry checks, exit codes."""
 
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -85,18 +86,42 @@ def test_resolve_cache_hit_and_corruption(tmp_path, capsys):
     assert code == 0 and "computed and cached" in out
 
 
-def _rehash_payload(cache_dir, key, edit):
-    """Rewrite a cache entry's payload through ``edit`` and record its new hash,
-    so that only the loader's own checks can reject it."""
+def _flip_mid_stream(raw):
+    mid = len(raw) // 2
+    return raw[:mid] + bytes([raw[mid] ^ 0x01]) + raw[mid + 1 :]
+
+
+def _flip_crc(raw):
+    # the trailer is CRC-32 then length, four bytes each
+    return raw[:-8] + bytes([raw[-8] ^ 0x01]) + raw[-7:]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_flip_mid_stream, lambda raw: raw[: len(raw) // 2], lambda raw: b"", _flip_crc],
+    ids=["flipped-deflate-byte", "truncated", "empty", "flipped-crc"],
+)
+def test_resolve_reports_a_corrupt_payload(tmp_path, capsys, corrupt):
+    args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
+    assert run(args, capsys)[0] == 0
+    payload = tmp_path / f"{_key('A1-s4-t10')}.json.gz"
+    payload.write_bytes(corrupt(payload.read_bytes()))
+    code, _, err = run(args, capsys)
+    assert code == 1 and "corrupt cache entry" in err
+    assert _key("A1-s4-t10") in err and "--force" in err
+    code, out, _ = run(args + ["--force"], capsys)
+    assert code == 0 and "computed and cached" in out
+    code, out, _ = run(args, capsys)
+    assert code == 0 and "cache hit" in out
+
+
+def _rewrite_payload(cache_dir, key, edit):
+    """Rewrite a cache entry's payload through ``edit`` as a well-formed gzip
+    file, so that only the loader's own checks can reject it."""
     payload = cache_dir / f"{key}.json.gz"
     doc = json.loads(gzip.decompress(payload.read_bytes()))
     edit(doc)
-    raw = cli._gzip_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    payload.write_bytes(raw)
-    manifest_path = cache_dir / f"{key}.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["content_hashes"][payload.name] = cli._sha256(raw)
-    manifest_path.write_text(json.dumps(manifest))
+    payload.write_bytes(cli._gzip_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
 
 
 def _bump_version(doc):
@@ -117,25 +142,57 @@ def _add_unit_coefficient(doc):
     doc["diff"][s][i].append([h, [[]]])
 
 
-def test_manifest_with_a_self_map_selections_key_still_hits(tmp_path, capsys):
-    # manifests of the same format version written before the field was
-    # dropped carry an empty "self_map_selections"
+def _raise_max_t(doc):
+    # a whole, minimal payload whose bounds differ from its key's
+    doc["max_t"] += 1
+
+
+def test_entry_with_earlier_sidecars_still_hits(tmp_path, capsys):
+    # earlier versions wrote the same payload next to a manifest with its
+    # SHA-256 and a lock file; both are ignored now
     args = ["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8", "--cache-dir", str(tmp_path)]
     assert run(args, capsys)[0] == 0
-    manifest_path = tmp_path / f"{_key('A1-s3-t8')}.manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    assert "self_map_selections" not in manifest
-    manifest["self_map_selections"] = {}
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    key = _key("A1-s3-t8")
+    payload = tmp_path / f"{key}.json.gz"
+    manifest = {
+        "algebra": "A[2, 1]",
+        "content_hashes": {payload.name: hashlib.sha256(payload.read_bytes()).hexdigest()},
+        "exponents": [2, 1],
+        "format_version": 1,
+        "max_s": 3,
+        "max_t": 8,
+        "producer": "0.1.0",
+        "self_map_selections": {},
+    }
+    (tmp_path / f"{key}.manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    (tmp_path / ".lock").write_text("")
     code, out, _ = run(args, capsys)
     assert code == 0 and "cache hit" in out
 
 
-@pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient])
+def _package_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_concurrent_writers_leave_one_whole_entry(tmp_path):
+    env = _package_env()
+    argv = [sys.executable, "-m", "extforge.cli", "resolve", "--algebra", "A1",
+            "--max-s", "3", "--max-t", "8", "--cache-dir", str(tmp_path)]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for _ in range(3)]
+    outcomes = [(p.communicate(timeout=120)[1], p.returncode) for p in procs]
+    assert all(code == 0 for _, code in outcomes), outcomes
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0 and "cache hit" in done.stdout, done.stdout + done.stderr
+    assert sorted(os.listdir(tmp_path)) == [f"{_key('A1-s3-t8')}.json.gz"]
+
+
+@pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient, _raise_max_t])
 def test_resolve_rejects_an_entry_that_does_not_load(tmp_path, capsys, edit):
     args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
     assert run(args, capsys)[0] == 0
-    _rehash_payload(tmp_path, _key("A1-s4-t10"), edit)
+    _rewrite_payload(tmp_path, _key("A1-s4-t10"), edit)
     code, _, err = run(args, capsys)
     assert code == 1 and _key("A1-s4-t10") in err and "--force" in err
     code, out, _ = run(args + ["--force"], capsys)
@@ -157,8 +214,7 @@ def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, mo
 
 
 def test_numpy_stays_out_of_the_package():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _package_env()
     probe = "import sys, extforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0 and done.stdout.strip() == "[]", done.stdout + done.stderr
@@ -172,18 +228,8 @@ def test_numpy_stays_out_of_the_package():
     assert done.returncode == 0 and done.stdout.strip(), done.stderr
     imported = {line.rsplit("|", 1)[-1].strip().split(".")[0] for line in done.stderr.splitlines()}
     assert "extforge" in imported and "numpy" not in imported
-
-
-def test_manifest_contents(tmp_path):
-    cli.main(["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)])
-    doc = json.loads((tmp_path / f"{_key('A1-s4-t10')}.manifest.json").read_text())
-    manifest = cli.CacheManifest.from_json_dict(doc)
-    assert manifest.format_version == cli.MANIFEST_FORMAT
-    assert manifest.algebra == "A[2, 1]"
-    assert manifest.exponents == [2, 1]
-    assert (manifest.max_s, manifest.max_t) == (4, 10)
-    assert list(manifest.content_hashes) == [f"{_key('A1-s4-t10')}.json.gz"]
-    assert manifest.producer
+    # the cache needs neither OpenSSL's hashes nor file locks
+    assert not imported & {"hashlib", "_hashlib", "fcntl"}, sorted(imported)
 
 
 def test_cache_dir_env_var(tmp_path, monkeypatch, capsys):
