@@ -18,48 +18,33 @@ writer renames its own temp file onto the entry, so concurrent invocations
 sharing a cache directory see either the whole old file or the whole new
 one.
 
+Each subcommand imports the engine modules it runs when it runs, so
+``--version`` loads none of them and ``bgpoly`` loads only ``bgpoly``.
+Engine names are bound at call time, never at import time, which is what
+lets ``perfbench/traced.py`` wrap them after importing every module.
+
 Exit codes: 0 success, 1 verification/cache failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import gzip
-import json
 import os
 import sys
-import threading
-import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import __version__, bgpoly, charts, cobar, gf2, milnor, modules
-from . import resolution as resolution_mod
-from .milnor import Profile
-from .modules import FiniteModule
-from .resolution import (
-    RESOLUTION_FORMAT_VERSION,
-    FreeComplex,
-    FreeResolution,
-    ResolutionError,
-    attaching_action,
-    cone,
-    ext_f2,
-    ext_over_complex,
-    les_consistency,
-    minimal_resolution,
-    select_self_map,
-)
+from . import __version__
+
+if TYPE_CHECKING:
+    from .milnor import Profile
+    from .modules import FiniteModule
+    from .resolution import ExtChart, FreeComplex, FreeResolution, SelfMapSelection
 
 CACHE_ENV_VAR = "EXTFORGE_CACHE_DIR"
-ALGEBRAS: dict[str, Profile] = {
-    "A1": milnor.A1,
-    "A2": milnor.A2,
-    "A3": milnor.A3,
-    "A": milnor.FULL,
-}
+# --algebra choice -> name of its Profile in milnor
+ALGEBRAS: dict[str, str] = {"A1": "A1", "A2": "A2", "A3": "A3", "A": "FULL"}
 
 
 class UsageError(ValueError):
@@ -68,6 +53,14 @@ class UsageError(ValueError):
 
 class CacheError(RuntimeError):
     pass
+
+
+def algebra_profile(name: str) -> Profile:
+    if name not in ALGEBRAS:
+        raise UsageError(f"unknown algebra {name!r}; choose from {sorted(ALGEBRAS)}")
+    from . import milnor
+
+    return getattr(milnor, ALGEBRAS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +76,7 @@ def default_cache_dir() -> Path:
 
 def _gzip_bytes(text: str) -> bytes:
     # mtime pinned so identical payloads compress to identical bytes
+    import gzip
     import io
 
     buf = io.BytesIO()
@@ -93,6 +87,9 @@ def _gzip_bytes(text: str) -> bytes:
 
 def write_cache_entry(cache_dir: Path, key: str, payload_doc: dict) -> Path:
     """Store one gzip payload; a rename from a per-writer temp file makes it atomic."""
+    import json
+    import threading
+
     payload = _gzip_bytes(json.dumps(payload_doc, sort_keys=True, separators=(",", ":")))
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload_path = cache_dir / f"{key}.json.gz"
@@ -105,6 +102,10 @@ def write_cache_entry(cache_dir: Path, key: str, payload_doc: dict) -> Path:
 def read_cache_entry(cache_dir: Path, key: str) -> Optional[dict]:
     """Load one entry; None when absent, CacheError when gzip's CRC-32 or
     length check, or the JSON inside, fails."""
+    import gzip
+    import json
+    import zlib
+
     try:
         raw = (cache_dir / f"{key}.json.gz").read_bytes()
     except FileNotFoundError:
@@ -126,11 +127,11 @@ def resolve_cached(
     log: Callable[[str], None] = lambda _s: None,
 ) -> tuple[FreeResolution, bool]:
     """Minimal resolution through the cache; returns (resolution, was_hit)."""
-    if algebra_name not in ALGEBRAS:
-        raise UsageError(f"unknown algebra {algebra_name!r}; choose from {sorted(ALGEBRAS)}")
+    from .resolution import RESOLUTION_FORMAT_VERSION, FreeComplex, FreeResolution, minimal_resolution
+
+    algebra = algebra_profile(algebra_name)
     if max_s <= 0 or max_t <= 0:
         raise UsageError("resolution bounds must be positive")
-    algebra = ALGEBRAS[algebra_name]
     key = f"res-v{RESOLUTION_FORMAT_VERSION}-{algebra_name}-s{max_s}-t{max_t}"
     if not force:
         doc = read_cache_entry(cache_dir, key)
@@ -236,6 +237,8 @@ def parse_descriptor(text: str) -> DescriptorPlan:
 
 
 def _build_factor(factor: Factor, algebra: Profile) -> FiniteModule:
+    from . import milnor, modules
+
     if factor.atom == "f2":
         M = modules.trivial(algebra)
     elif factor.atom == "bo":
@@ -256,18 +259,27 @@ def _build_factor(factor: Factor, algebra: Profile) -> FiniteModule:
 
 
 def build_coefficients(plan: DescriptorPlan, algebra: Profile, jobs: int = 1) -> FiniteModule:
-    """Tensor the module factors together, left to right."""
-    if not plan.factors:
-        return modules.trivial(algebra)
-    if jobs > 1 and len(plan.factors) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = list(pool.map(lambda f: _build_factor(f, algebra), plan.factors))
-    else:
-        built = [_build_factor(f, algebra) for f in plan.factors]
-    out = built[0]
-    for M in built[1:]:
-        out = modules.tensor(out, M)
-    return out
+    """Tensor the module factors together, left to right.  A module the
+    algebra cannot carry (any module over the full algebra) is a UsageError."""
+    # imported here, before any worker thread needs it
+    from . import modules
+
+    try:
+        if not plan.factors:
+            return modules.trivial(algebra)
+        if jobs > 1 and len(plan.factors) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                built = list(pool.map(lambda f: _build_factor(f, algebra), plan.factors))
+        else:
+            built = [_build_factor(f, algebra) for f in plan.factors]
+        out = built[0]
+        for M in built[1:]:
+            out = modules.tensor(out, M)
+        return out
+    except modules.ComoduleError as exc:
+        raise UsageError(f"coefficients {plan.text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +289,12 @@ H8_CLASS = (3, 3)  # h0^3
 V18_CLASS = (8, 24)  # v1^8 on the cone
 
 
-def _h8v18_cone(
-    res: FreeResolution,
-) -> tuple["resolution_mod.SelfMapSelection", Optional[FreeComplex]]:
+def _h8v18_cone(res: FreeResolution) -> tuple[SelfMapSelection, Optional[FreeComplex]]:
     """Select the v1^8 self-map on the cone on h0^3 over ``res``; returns the
     selection and the cone on it, or None in place of the cone when the
     selection is not unique."""
+    from .resolution import cone, select_self_map
+
     X = cone(res, *H8_CLASS)
     ws = min(res.max_s - 1, V18_CLASS[0] + 3)
     wt = min(res.max_t, V18_CLASS[1] + 6)
@@ -304,17 +316,22 @@ def build_chart(
     force: bool = False,
     jobs: int = 1,
     log: Callable[[str], None] = lambda _s: None,
-) -> tuple["resolution_mod.ExtChart", dict[str, list[int]]]:
+) -> tuple[ExtChart, dict[str, list[int]]]:
     """Resolve, build any cone object, and compute the requested chart."""
-    algebra = ALGEBRAS[algebra_name]
+    from .resolution import ResolutionError, cone, ext_f2, ext_over_complex
+
+    # a plain F2 chart counts generators and needs no coefficient module
+    plain = plan.cell is None and all(f.atom == "f2" and not f.suspension for f in plan.factors)
+    # any other module is built first, so one the algebra cannot carry
+    # fails before a resolution is computed or cached
+    M = None if plain else build_coefficients(plan, algebra_profile(algebra_name), jobs=jobs)
     # the cone on h0^3 consumes two filtration levels, the v1^8 cone seven more
     res_s = max_s + (3 if plan.cell == "h8" else 10 if plan.cell == "h8v18" else 1)
     res, _hit = resolve_cached(algebra_name, res_s, max_t, cache_dir, force=force, log=log)
-    M = build_coefficients(plan, algebra, jobs=jobs)
     selections: dict[str, list[int]] = {}
+    if plain:
+        return ext_f2(res), selections
     if plan.cell is None:
-        if not plan.factors or all(f.atom == "f2" and not f.suspension for f in plan.factors):
-            return ext_f2(res), selections
         return ext_over_complex(res, M, M.name or "module", max_s=max_s, max_t=max_t), selections
     if plan.cell == "h8":
         X = cone(res, *H8_CLASS)
@@ -346,6 +363,8 @@ def _window_of(arg: Optional[str]) -> Optional[tuple[int, int]]:
 def _windowed(chart, window: Optional[tuple[int, int]]):
     if window is None:
         return chart
+    from . import charts
+
     out = charts.TsvChart()
     for (s, t), d in chart.dims.items():
         if window[0] <= t - s <= window[1]:
@@ -374,6 +393,8 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_ext(args: argparse.Namespace) -> int:
+    from . import charts
+
     plan = parse_descriptor(args.descriptor)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     max_s = args.max_s
@@ -424,6 +445,8 @@ def cmd_ext(args: argparse.Namespace) -> int:
         svg_path.write_text(charts.render_svg(chart, style))
         written.append(svg_path)
     if "json" in formats:
+        import json
+
         doc = chart.to_json_dict()
         doc["self_map_selections"] = selections
         json_path = out_dir / f"{base}.json"
@@ -438,6 +461,8 @@ def cmd_ext(args: argparse.Namespace) -> int:
 
 
 def cmd_bgpoly(args: argparse.Namespace) -> int:
+    from . import bgpoly
+
     raw = args.index.replace(" ", "")
     try:
         parts = [int(p) for p in raw.split(",") if p]
@@ -472,11 +497,14 @@ VerifyItem = tuple[str, bool, str]
 
 def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
     """Generator-count dims against the cobar Cotor dims, both coefficient rows."""
+    from . import cobar, modules
+    from .resolution import ext_f2, ext_over_complex, minimal_resolution
+
     max_s = args.suite_max_s if args.suite_max_s is not None else 6
     max_stem = args.suite_max_stem if args.suite_max_stem is not None else 12
     items: list[VerifyItem] = []
     for alg_name in ("A1", "A2"):
-        algebra = ALGEBRAS[alg_name]
+        algebra = algebra_profile(alg_name)
         res = minimal_resolution(algebra, max_s + 2, max_stem + max_s + 2)
         for coeff_name, M in (("trivial", None), ("bo1", modules.bo(1, algebra))):
             chart = (
@@ -503,6 +531,8 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
 
 
 def _suite_splitting(args: argparse.Namespace) -> list[VerifyItem]:
+    from . import modules
+
     report = modules.verify_splitting(48)
     return [
         (
@@ -516,6 +546,8 @@ def _suite_splitting(args: argparse.Namespace) -> list[VerifyItem]:
 
 
 def _suite_bo_sequences(args: argparse.Namespace) -> list[VerifyItem]:
+    from . import modules
+
     items = []
     for j in (1, 2, 3):
         report = modules.verify_bo_sequence(j)
@@ -530,6 +562,8 @@ def _suite_bo_sequences(args: argparse.Namespace) -> list[VerifyItem]:
 
 
 def _suite_bg_lemma(args: argparse.Namespace) -> list[VerifyItem]:
+    from . import bgpoly
+
     bad = [i for i in range(1, 129) if not bgpoly.check_lemma(i).ok]
     return [
         (
@@ -551,6 +585,9 @@ def _fallback_window_spots() -> dict[str, tuple[int, int, int]]:
 
 def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     """Low-stem d1-target windows on the v1^8 cone must be zero groups."""
+    from . import modules
+    from .resolution import ext_dim_at
+
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     res, _ = resolve_cached("A2", 13, 48, cache_dir, force=args.force, log=_say)
     sel, H8V = _h8v18_cone(res)
@@ -568,7 +605,7 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     powers[3] = modules.tensor(powers[2], bo1)
     cache: dict = {}
     # kappa k=1 lands on a populated spot; it anchors the window as a control
-    control = resolution_mod.ext_dim_at(H8V, powers[1], 10, 34, cache)
+    control = ext_dim_at(H8V, powers[1], 10, 34, cache)
     items.append(
         (
             "vanishing-windows.control",
@@ -579,7 +616,7 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     for name, (k, s, t) in sorted(_fallback_window_spots().items()):
         if (s, t) == (10, 34):
             continue
-        dim = resolution_mod.ext_dim_at(H8V, powers[k], s, t, cache)
+        dim = ext_dim_at(H8V, powers[k], s, t, cache)
         items.append(
             (
                 f"vanishing-windows.{name}",
@@ -591,11 +628,14 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
 
 
 def _suite_les(args: argparse.Namespace) -> list[VerifyItem]:
+    from . import modules
+    from .resolution import attaching_action, cone, ext_f2, ext_over_complex, les_consistency
+
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     res, _ = resolve_cached("A2", 14, 44, cache_dir, force=args.force, log=_say)
     sphere = ext_f2(res, install_products=())
     X = cone(res, *H8_CLASS)
-    chart = ext_over_complex(X, modules.trivial(ALGEBRAS["A2"]), "F2", max_s=res.max_s - 2)
+    chart = ext_over_complex(X, modules.trivial(algebra_profile("A2")), "F2", max_s=res.max_s - 2)
     theta = attaching_action(sphere, *H8_CLASS)
     report = les_consistency(sphere, chart, theta, *H8_CLASS)
     return [
@@ -628,6 +668,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or all")
     results: list[VerifyItem] = []
     if args.jobs > 1 and len(names) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             for items in pool.map(lambda n: SUITES[n](args), names):
                 results.extend(items)

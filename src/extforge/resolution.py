@@ -346,7 +346,9 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
                     for v in new_rows:
                         res.gens[s].append(Gen(t, 0))
                         res.diff[s].append(res.vector_to_rows(s - 1, t, v))
-                    res._coords_cache.clear()
+                    # only level s gained generators, so only its layouts moved
+                    for key in [k for k in res._coords_cache if k[0] == s]:
+                        del res._coords_cache[key]
                     res._matrix_cache.clear()
                     res._solver_cache.clear()
                     rows = list(image.row_bits)

@@ -206,30 +206,43 @@ def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, mo
     assert (tmp_path / f"{_key('A1-s4-t10')}.json.gz").exists()
     bumped = resolution.RESOLUTION_FORMAT_VERSION + 1
     monkeypatch.setattr(resolution, "RESOLUTION_FORMAT_VERSION", bumped)
-    monkeypatch.setattr(cli, "RESOLUTION_FORMAT_VERSION", bumped)
     code, out, _ = run(args, capsys)
     assert code == 0 and f"computed and cached: res-v{bumped}-A1-s4-t10" in out
     code, out, _ = run(args, capsys)
     assert code == 0 and f"cache hit: res-v{bumped}-A1-s4-t10" in out
 
 
-def test_numpy_stays_out_of_the_package():
-    env = _package_env()
-    probe = "import sys, extforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert done.returncode == 0 and done.stdout.strip() == "[]", done.stdout + done.stderr
-    # -X importtime lists every module the command imports on stderr
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "extforge.cli", "--version"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert done.returncode == 0 and done.stdout.strip(), done.stderr
-    imported = {line.rsplit("|", 1)[-1].strip().split(".")[0] for line in done.stderr.splitlines()}
-    assert "extforge" in imported and "numpy" not in imported
-    # the cache needs neither OpenSSL's hashes nor file locks
-    assert not imported & {"hashlib", "_hashlib", "fcntl"}, sorted(imported)
+_ENGINE = {f"extforge.{m}" for m in ("gf2", "milnor", "modules", "resolution", "charts", "cobar", "bgpoly")}
+_RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip"}
+# command -> the modules of _ENGINE, gzip and concurrent.futures it may import
+_COMMAND_IMPORTS = [
+    (["--version"], set()),
+    (["bgpoly", "6"], {"extforge.bgpoly"}),
+    (["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8"], _RESOLVER),
+    (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "4", "--no-png"], _RESOLVER | {"extforge.charts"}),
+]
+
+
+def test_numpy_stays_out_of_the_package(tmp_path):
+    paths = {"resolve": ["--cache-dir", str(tmp_path)], "ext": ["--cache-dir", str(tmp_path), "--out", str(tmp_path)]}
+    for argv, allowed in _COMMAND_IMPORTS:
+        # -X importtime lists every module the command imports on stderr
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "extforge.cli", *argv, *paths.get(argv[0], [])],
+            env=_package_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0 and done.stdout.strip(), (argv, done.stderr)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        roots = {name.split(".")[0] for name in imported}
+        assert "extforge" in roots and "numpy" not in roots, argv
+        # the cache needs neither OpenSSL's hashes nor file locks
+        assert not roots & {"hashlib", "_hashlib", "fcntl"}, (argv, sorted(roots))
+        # each command loads only the engine modules it runs, and a thread
+        # pool only for --jobs > 1
+        forbidden = (_ENGINE | {"gzip", "concurrent.futures"}) - allowed
+        assert not imported & forbidden, (argv, sorted(imported & forbidden))
 
 
 def test_cache_dir_env_var(tmp_path, monkeypatch, capsys):
@@ -240,6 +253,36 @@ def test_cache_dir_env_var(tmp_path, monkeypatch, capsys):
 
 
 # ----- ext command -----
+
+
+def test_ext_f2_over_the_full_algebra_needs_no_module(tmp_path, capsys):
+    code, out, _ = run(
+        ["ext", "f2", "--algebra", "A", "--max-s", "3", "--max-stem", "4", "--no-png",
+         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 0, out
+    assert (tmp_path / "out" / "ext-f2-A-s3-t7.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "descriptor, algebra, message",
+    [
+        ("bo:1", "A", "finite profile"),
+        ("h8", "A", "finite profile"),
+        ("a2qa1", "A1", "pass --algebra A2"),
+    ],
+)
+def test_ext_rejects_coefficients_the_algebra_cannot_carry(tmp_path, capsys, descriptor, algebra, message):
+    cache = tmp_path / "cache"
+    code, _, err = run(
+        ["ext", descriptor, "--algebra", algebra, "--max-s", "3", "--max-stem", "4", "--no-png",
+         "--cache-dir", str(cache), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: ") and message in err, err
+    # rejected before any resolution is computed
+    assert not cache.exists() or not os.listdir(cache)
 
 
 def test_ext_writes_tsv_and_png(tmp_path, capsys):

@@ -62,6 +62,16 @@ def test_resolution_deterministic():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_cached_layouts_match_the_final_generators():
+    # minimal_resolution drops only the layouts of a level that gains
+    # generators; every layout it leaves behind must still be current
+    res = R.minimal_resolution(milnor.A2, 6, 20)
+    cached = dict(res._coords_cache)
+    assert len({s for s, _ in cached}) > 1
+    for (s, t), (offsets, total) in cached.items():
+        assert (list(offsets), total) == _reference_offsets(res, s, t), (s, t)
+
+
 def test_cone_cells(res_a2_small):
     h8 = R.cone(res_a2_small, 3, 3)
     assert [(c.stem, c.filt) for c in h8.cells] == [(0, 0), (1, 2)]
