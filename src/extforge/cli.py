@@ -31,9 +31,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 
@@ -165,15 +164,13 @@ def resolve_cached(
 # coefficient descriptors
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     atom: str
     arg: Optional[int]
     suspension: int
 
 
-@dataclass(frozen=True)
-class DescriptorPlan:
+class DescriptorPlan(NamedTuple):
     cell: Optional[str]  # None | "h8" | "h8v18"
     factors: tuple[Factor, ...]
     text: str

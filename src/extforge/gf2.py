@@ -2,27 +2,43 @@
 
 Everything downstream (resolutions, Hom complexes, the cobar oracle)
 reduces to rank/kernel/solve computations over the two-element field.
-They all run on one elimination, :class:`Solver`, which holds each row as
-a Python int (bit c is column c), so a row operation is a single int XOR.
+They all run on one elimination, :class:`IncrementalSpan`, which holds each
+vector as a Python int (bit c is coordinate c), so adding one vector to
+another is a single int XOR.  :class:`Solver` is that elimination run over
+the columns of a matrix.
 
-Forward reduction keys every row by its lowest set bit: while that bit is
-already the pivot of a stored row, the stored row is XORed in.  The row
-then either owns a new pivot or vanishes, leaving a relation among the
-original rows.  The pivots found are the columns at which the rank of the
-leading columns grows, whatever order the rows come in.  Back-substitution
-clears each pivot column outside its own row and so reaches the reduced
-row echelon form, which is unique.  Hence everything the canonical pivot
-rule (pivot on the lowest-index nonzero column) defines -- the pivot
-columns, the free-variable kernel basis ordered by free column, and the
-solution with every free variable zero -- depends only on the matrix,
-never on the elimination order, and is reproducible across runs,
-platforms and worker counts.
+The elimination works on columns.  For a matrix with ``rows`` rows, column
+j enters tagged with bit ``rows + j`` and is reduced by its lowest set bit:
+while that bit is the pivot of a stored column, the stored column is XORed
+in.  The column then either owns a new pivot and is stored, or its vector
+part vanishes and only its tag is left: a relation with a 1 at j and
+otherwise only at stored columns, all earlier than j.  So one pass gives
+
+- the pivot columns: those outside the span of the earlier columns, which
+  are exactly the pivot columns of the reduced row echelon form (RREF)
+  under the canonical rule (pivot on the lowest-index nonzero column);
+- the kernel: the relation of free column j is a kernel vector with a 1 at
+  j and a 0 at every other free column.  Only one kernel vector has that
+  shape, so it is the RREF's free-variable basis vector for j, and the
+  relations in column order are the RREF basis ordered by free column;
+- solutions: b reduces to 0 exactly when it is in the column space, and
+  its tag is then a solution supported on the pivot columns.  Only one
+  solution has every free variable zero, so it is the RREF's canonical
+  solution.
+
+All three depend only on the matrix, never on the elimination order, and
+are reproducible across runs, platforms and worker counts; no
+back-substitution runs.  A vector added later becomes the next column when
+it enlarges the span and is dropped when it does not, so the resolver can
+reduce the columns of d_s, add the kernel vectors of d_{s-1} as candidate
+generators, and read the next level's kernel off the relations.
 
 :class:`BitMatrix` stores its rows in the same format, one Python int per
-row, so the engine assembles matrices by XORing shifted int rows and hands
-them to the elimination without converting.  Vectors use the same format:
-a vector is one Python int, bit c = coordinate c, whether it is a right
-side, a solution, a kernel row or a span member.
+row.  :class:`Solver` takes its matrix in column form, a ``BitMatrix``
+whose row j is column j, which is how the engine assembles its matrices,
+so nothing is converted.  Vectors use the same format: a vector is one
+Python int, bit c = coordinate c, whether it is a right side, a solution,
+a kernel row or a span member.
 """
 
 from __future__ import annotations
@@ -129,8 +145,10 @@ class BitMatrix:
 def _reduce(pivots: dict[int, int], row: int) -> int:
     """XOR pivot rows into ``row`` until its lowest set bit is no pivot.
 
-    ``pivots`` maps a column to the stored row whose lowest set bit it is.
-    The result is 0 exactly when ``row`` lies in the span of those rows.
+    ``pivots`` maps a bit to the stored row whose lowest set bit it is.
+    Stored rows carry their tags above the vector bits, so the vector part
+    of the result is 0 exactly when the vector part of ``row`` lies in the
+    span, and the tag part then records the stored rows XORed in.
     """
     while row:
         pivot = pivots.get((row & -row).bit_length() - 1)
@@ -140,99 +158,20 @@ def _reduce(pivots: dict[int, int], row: int) -> int:
     return row
 
 
-class Solver:
-    """The one elimination of a fixed matrix: rank, pivots, kernel, solutions.
-
-    Row i enters tagged with bit ``cols + i``, so every reduced row also
-    records which original rows it sums.  Rows whose matrix part vanishes
-    are relations: m x = b is solvable exactly when b is orthogonal to
-    every relation.  Back-substitution to the reduced echelon form runs
-    once, on the first call that needs it.
-    """
-
-    def __init__(self, m: BitMatrix):
-        self.matrix = m
-        self._pivots: dict[int, int] = {}
-        self._relations: list[int] = []
-        self._reduced: Optional[list[tuple[int, int]]] = None
-        cols = m.cols
-        for i, row in enumerate(m.row_bits):
-            row = _reduce(self._pivots, row | (1 << (cols + i)))
-            low = (row & -row).bit_length() - 1
-            if low < cols:
-                self._pivots[low] = row
-            else:
-                self._relations.append(row >> cols)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivots))
-
-    def _rref(self) -> list[tuple[int, int]]:
-        """(pivot column, fully reduced tagged row), by ascending pivot."""
-        if self._reduced is None:
-            done: dict[int, int] = {}
-            mask = 0  # pivot columns above the current one
-            for p in sorted(self._pivots, reverse=True):
-                row = self._pivots[p]
-                hits = row & mask
-                while hits:
-                    low = hits & -hits
-                    row ^= done[low.bit_length() - 1]
-                    hits ^= low
-                done[p] = row
-                mask |= 1 << p
-            self._reduced = sorted(done.items())
-        return self._reduced
-
-    def kernel(self) -> BitMatrix:
-        """Canonical basis of the right kernel, one vector per row.
-
-        The basis is the free-variable basis read off the RREF, ordered by
-        free column index: the vector for free column f has a 1 at f and
-        the pivot-row entries of column f at the pivot columns.
-        """
-        cols = self.matrix.cols
-        reduced = self._rref()
-        free = {c: 1 << c for c in range(cols)}  # free column -> its vector
-        for p, _ in reduced:
-            del free[p]
-        mask = (1 << cols) - 1
-        for p, row in reduced:
-            # off its own pivot, a reduced row is nonzero only at free columns
-            for f in _set_bits((row & mask) ^ (1 << p)):
-                free[f] |= 1 << p
-        return BitMatrix(len(free), cols, free.values())
-
-    def solve(self, b: int) -> Optional[int]:
-        """Canonical solution of m x = b (free variables zero), or None."""
-        m = self.matrix
-        if b < 0 or b >> m.rows:
-            raise ValueError(f"right side has a bit outside {m.rows} rows")
-        if any((rel & b).bit_count() & 1 for rel in self._relations):
-            return None
-        x = 0
-        for p, row in self._rref():
-            x |= (((row >> m.cols) & b).bit_count() & 1) << p
-        return x
-
-
 def rank(m: BitMatrix) -> int:
+    # m and its transpose have one rank, and m's rows are the transpose's
+    # columns, so m is eliminated as it is stored
     return Solver(m).rank
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
     """Canonical basis of the right kernel; see :meth:`Solver.kernel`."""
-    return Solver(m).kernel()
+    return Solver(m.transpose()).kernel()
 
 
 def solve(m: BitMatrix, b: int) -> Optional[int]:
     """Canonical solution of m x = b (free variables zero), or None."""
-    return Solver(m).solve(b)
+    return Solver(m.transpose()).solve(b)
 
 
 def combine(rows: Sequence[int], x: int) -> int:
@@ -301,14 +240,19 @@ def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -
 
 
 class IncrementalSpan:
-    """Row space that grows by vectors, held as int rows keyed by pivot bit.
+    """Span that grows by vectors, held as tagged int rows keyed by pivot bit.
 
-    Each stored row's lowest set bit is its pivot, distinct across rows;
-    vectors are reduced by the same step as :class:`Solver` rows.
+    A vector of ``cols`` bits that enlarges the span is stored as inserted
+    vector k = ``size``: tagged with bit ``cols + k``, then reduced, so the
+    bits of a stored row above ``cols`` record which inserted vectors it
+    sums.  Each stored row's lowest set bit is its pivot, distinct across
+    rows.  A vector already in the span is dropped and takes no tag.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
+        self.size = 0  # vectors inserted, so the next one's tag is bit cols + size
+        self._mask = (1 << cols) - 1
         self._pivots: dict[int, int] = {}
 
     @property
@@ -318,10 +262,11 @@ class IncrementalSpan:
     @property
     def rows(self) -> tuple[int, ...]:
         """Echelon rows currently spanning the space, by ascending pivot."""
-        return tuple(self._pivots[p] for p in sorted(self._pivots))
+        return tuple(self._pivots[p] & self._mask for p in sorted(self._pivots))
 
     def copy(self) -> "IncrementalSpan":
         other = IncrementalSpan(self.cols)
+        other.size = self.size
         other._pivots = dict(self._pivots)
         return other
 
@@ -331,18 +276,69 @@ class IncrementalSpan:
         return vector
 
     def contains(self, vector: int) -> bool:
-        return not _reduce(self._pivots, self._check(vector))
+        return not _reduce(self._pivots, self._check(vector)) & self._mask
 
-    def _insert(self, row: int) -> bool:
-        row = _reduce(self._pivots, self._check(row))
-        if row:
+    def _insert(self, vector: int) -> int:
+        """Reduce ``vector`` tagged as inserted vector ``size``, and store it
+        when it enlarges the span.  Returns the reduced row: its vector part
+        is 0 exactly when nothing was stored, and its tag part then records
+        the inserted vectors that sum to ``vector``."""
+        row = _reduce(self._pivots, vector | (1 << (self.cols + self.size)))
+        if row & self._mask:
             self._pivots[(row & -row).bit_length() - 1] = row
-        return bool(row)
+            self.size += 1
+        return row
 
     def add(self, vector: int) -> bool:
         """Add a vector; returns True when it enlarged the span."""
-        return self._insert(vector)
+        return bool(self._insert(self._check(vector)) & self._mask)
 
     def extend(self, rows: Iterable[int]) -> list[bool]:
         """Add vectors in order; for each, whether it enlarged the span."""
-        return [self._insert(row) for row in rows]
+        mask = self._mask
+        return [bool(self._insert(self._check(row)) & mask) for row in rows]
+
+
+class Solver(IncrementalSpan):
+    """The one elimination of a fixed matrix: rank, pivots, kernel, solutions.
+
+    Built from the matrix in column form: row j of ``columns`` is column j.
+    The span of those columns, inserted in order, so column j is inserted
+    vector j; here ``cols`` is the length of a column (the matrix's row
+    count) and ``size`` the number of columns.  A column already in the
+    span of the earlier ones keeps its index and leaves its tag as a
+    relation.  Vectors added later become further columns when they enlarge
+    the span.
+    """
+
+    def __init__(self, columns: BitMatrix):
+        n = columns.cols
+        super().__init__(n)
+        self._relations: list[int] = []
+        mask = self._mask
+        for col in columns.row_bits:
+            row = self._insert(col)
+            if not row & mask:
+                self._relations.append(row >> n)
+                self.size += 1
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        # a stored column's highest tag bit is its own index
+        return tuple(sorted(row.bit_length() - 1 - self.cols for row in self._pivots.values()))
+
+    def kernel(self) -> BitMatrix:
+        """Canonical basis of the right kernel, one vector per row.
+
+        The free-variable basis of the RREF, ordered by free column index:
+        the vector for free column f has a 1 at f and is otherwise supported
+        on pivot columns before f.
+        """
+        return BitMatrix(len(self._relations), self.size, self._relations)
+
+    def solve(self, b: int) -> Optional[int]:
+        """Canonical solution of m x = b (free variables zero), or None."""
+        row = _reduce(self._pivots, self._check(b))
+        if row & self._mask:
+            return None
+        return row >> self.cols

@@ -448,15 +448,15 @@ def _coaction_from_generator_actions(
         if not monos:
             continue
         candidates: list[tuple[int, tuple[int, ...]]] = []
-        rows = []
+        cols = []  # one column per candidate product, bit p for monos[p]
         for k in range(n_gens):
             g = 1 << k
             if g > degree:
                 continue
             for m_low in basis_in_degree(algebra, degree - g):
                 candidates.append((k, m_low))
-                rows.append(product_mask(algebra, (g,), m_low))
-        solver = gf2.Solver(gf2.BitMatrix(len(rows), len(monos), rows).transpose())
+                cols.append(product_mask(algebra, (g,), m_low))
+        solver = gf2.Solver(gf2.BitMatrix(len(cols), len(monos), cols))
         for p, m in enumerate(monos):
             combo = solver.solve(1 << p)
             if combo is None:

@@ -141,7 +141,7 @@ class FreeComplex:
         self.diff = [list(level) for level in diff]
         self.attachings = tuple(attachings)
         self._coords_cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        self._matrix_cache: dict[tuple[int, int], gf2.BitMatrix] = {}
+        self._columns_cache: dict[tuple[int, int], gf2.BitMatrix] = {}
         self._solver_cache: dict[tuple[int, int], gf2.Solver] = {}
 
     # --- free module coordinates at (s, t): per-generator blocks ---
@@ -178,9 +178,11 @@ class FreeComplex:
         return tuple(row)
 
     def diff_dense(self, s: int, t: int) -> gf2.BitMatrix:
-        """Matrix of d: level s -> level s-1 in internal degree t, as int rows.
+        """Matrix of d: level s -> level s-1 in internal degree t, in column
+        form: row j of the result is column j of d (the image of the j-th
+        basis vector of level s), so the result is d's transpose.
 
-        Assembled column by column from the element tables, then transposed.
+        Assembled column by column from the element tables, never cached.
         The name is kept for ``perfbench/traced.py``, which times it.
         """
         rows_off, rows_total = self.block_layout(s - 1, t)
@@ -195,21 +197,22 @@ class FreeComplex:
                 r0 = rows_off[h]
                 for j, col in enumerate(_mul_cols(self.algebra, "r", a, t - g.t), cols_off[i]):
                     cols[j] ^= col << r0
-        return gf2.BitMatrix(cols_total, rows_total, cols).transpose()
+        return gf2.BitMatrix(cols_total, rows_total, cols)
 
-    def diff_matrix(self, s: int, t: int) -> gf2.BitMatrix:
+    def diff_columns(self, s: int, t: int) -> gf2.BitMatrix:
+        """``diff_dense``, cached: d in column form (row j is column j)."""
         key = (s, t)
-        got = self._matrix_cache.get(key)
+        got = self._columns_cache.get(key)
         if got is None:
-            got = self._matrix_cache[key] = self.diff_dense(s, t)
+            got = self._columns_cache[key] = self.diff_dense(s, t)
         return got
 
     def diff_solver(self, s: int, t: int) -> gf2.Solver:
+        """The elimination of d's columns, cached."""
         key = (s, t)
         got = self._solver_cache.get(key)
         if got is None:
-            got = gf2.Solver(self.diff_matrix(s, t))
-            self._solver_cache[key] = got
+            got = self._solver_cache[key] = gf2.Solver(self.diff_columns(s, t))
         return got
 
     def apply_element(self, a: MilnorElement, s: int, t: int, vec: int) -> int:
@@ -236,7 +239,8 @@ class FreeComplex:
             for t in range(limit + 1):
                 if self.free_dim(s, t) == 0:
                     continue
-                prod = gf2.multiply(self.diff_matrix(s - 1, t), self.diff_matrix(s, t))
+                # in column form: the transpose of d_{s-1} d_s
+                prod = gf2.multiply(self.diff_columns(s, t), self.diff_columns(s - 1, t))
                 if not prod.is_zero():
                     raise ResolutionError(f"d^2 != 0 at level {s}, degree {t}")
 
@@ -301,7 +305,7 @@ class FreeResolution(FreeComplex):
         for t in range(self.max_t + 1):
             rank_below = 0  # d_{0,t} maps to nothing
             for s in range(self.max_s):
-                rank_above = gf2.rank(self.diff_matrix(s + 1, t))
+                rank_above = gf2.rank(self.diff_columns(s + 1, t))
                 dim = self.free_dim(s, t)
                 if dim != rank_below + rank_above + (s == t == 0):
                     raise ResolutionError(
@@ -321,6 +325,10 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
     Generators are created in ascending internal degree, then ascending
     level; within one (s, t), new generators are the canonical kernel basis
     vectors not already reached by the differential, in kernel-basis order.
+    Each (s, t) runs one elimination: the columns of d_s, then the kernel
+    vectors of d_{s-1} as candidate columns.  A candidate that enlarges the
+    span is a new generator, and the relations among d_s's columns are the
+    canonical kernel the next level draws its candidates from.
     """
     if max_s <= 0 or max_t < 0:
         raise ResolutionError("bounds must be positive")
@@ -329,34 +337,19 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
     res = FreeResolution(algebra, max_s, max_t, [Cell("0", 0, 0)], gens, diff)
 
     for t in range(1, max_t + 1):
-        # differential matrices per level at this degree, with a column
-        # added for each new generator
-        matrix_at: dict[int, gf2.BitMatrix] = {}
+        # the canonical kernel of d_{s-1} at this degree; d_0 is zero
+        kernel_rows = gf2.BitMatrix.identity(res.free_dim(0, t)).row_bits
         for s in range(1, max_s + 1):
-            if s == 1:
-                kernel_rows = gf2.BitMatrix.identity(res.free_dim(0, t)).row_bits
-            else:
-                kernel_rows = gf2.kernel_basis(matrix_at[s - 1]).row_bits
-            image = res.diff_dense(s, t)
-            if kernel_rows:
-                span = gf2.IncrementalSpan(image.rows)
-                span.extend(image.transpose().row_bits)
-                new_rows = [v for v, grew in zip(kernel_rows, span.extend(kernel_rows)) if grew]
-                if new_rows:
-                    for v in new_rows:
-                        res.gens[s].append(Gen(t, 0))
-                        res.diff[s].append(res.vector_to_rows(s - 1, t, v))
-                    # only level s gained generators, so only its layouts moved
-                    for key in [k for k in res._coords_cache if k[0] == s]:
-                        del res._coords_cache[key]
-                    res._matrix_cache.clear()
-                    res._solver_cache.clear()
-                    rows = list(image.row_bits)
-                    for j, v in enumerate(new_rows, image.cols):
-                        for r in gf2._set_bits(v):
-                            rows[r] |= 1 << j
-                    image = gf2.BitMatrix(image.rows, image.cols + len(new_rows), rows)
-            matrix_at[s] = image
+            elim = gf2.Solver(res.diff_dense(s, t))
+            new_rows = [v for v in kernel_rows if elim.add(v)]
+            if new_rows:
+                for v in new_rows:
+                    res.gens[s].append(Gen(t, 0))
+                    res.diff[s].append(res.vector_to_rows(s - 1, t, v))
+                # only level s gained generators, so only its layouts moved
+                for key in [k for k in res._coords_cache if k[0] == s]:
+                    del res._coords_cache[key]
+            kernel_rows = elim.kernel().row_bits
     return res
 
 
@@ -451,8 +444,10 @@ class CohomologyLocal:
                 raise ResolutionError("vector is not a coboundary at a zero spot")
             return 0
         nb = self.boundary_span.rank
+        # columns: the boundary's echelon rows, then the representatives
         stacked = self.boundary_span.rows + self.rep_vectors
-        sol = gf2.solve(gf2.BitMatrix(len(stacked), self.boundary_span.cols, stacked).transpose(), vec)
+        columns = gf2.BitMatrix(len(stacked), self.boundary_span.cols, stacked)
+        sol = gf2.Solver(columns).solve(vec)
         if sol is None:
             raise ResolutionError("vector is not a cocycle class in range")
         return sol >> nb
@@ -471,19 +466,22 @@ def _hom_layout(cplx: FreeComplex, M: FiniteModule, s: int, t: int):
 def _hom_delta(
     cplx: FreeComplex, M: FiniteModule, s: int, t: int, cache: Optional[dict] = None
 ) -> gf2.BitMatrix:
-    """Matrix of delta: Hom^{s,t} -> Hom^{s+1,t}.
+    """Matrix of delta: Hom^{s,t} -> Hom^{s+1,t}, in column form: row j of
+    the result is column j of delta.
 
-    Row r of the block of target generator g' is the XOR, over the terms
-    (h, a) of d(g'), of row r of the action of a on M shifted to the
-    columns of h.  ``cache`` may hold those action rows across calls.
+    In the column of coordinate c of source generator h, the block of
+    target generator g' is the XOR, over the terms (h, a) of d(g'), of
+    column c of the action of a on M.  ``cache`` may hold those action
+    columns across calls.
     """
     if cache is None:
         cache = {}
     src_off, src_total = _hom_layout(cplx, M, s, t)
-    rows: list[int] = []
+    cols = [0] * src_total
+    r0 = 0  # first row of target generator g'
     for gp, g in enumerate(cplx.level_gens(s + 1)):
-        block = [0] * M.dimension_in(t - g.t)
-        if not block:
+        n_rows = M.dimension_in(t - g.t)
+        if not n_rows:
             continue
         for h, a in cplx.diff[s + 1][gp]:
             d_src = t - cplx.gens[s][h].t
@@ -494,23 +492,24 @@ def _hom_delta(
             key = (id(M), a.terms, d_src)
             act = cache.get(key)
             if act is None:
-                act = cache[key] = [0] * len(block)
+                rows = [0] * n_rows
                 for mono in a.terms:
                     for r, row in enumerate(M.monomial_action_matrix(mono, d_src).row_bits):
-                        act[r] ^= row
-            off = src_off[h]
-            for r, row in enumerate(act):
-                block[r] ^= row << off
-        rows.extend(block)
-    return gf2.BitMatrix(len(rows), src_total, rows)
+                        rows[r] ^= row
+                act = cache[key] = gf2.BitMatrix(n_rows, M.dimension_in(d_src), rows).transpose().row_bits
+            for j, col in enumerate(act, src_off[h]):
+                cols[j] ^= col << r0
+        r0 += n_rows
+    return gf2.BitMatrix(src_total, r0, cols)
 
 
-def _canonical_reps(delta_cur: gf2.Solver, prev_delta: Optional[gf2.BitMatrix]) -> CohomologyLocal:
-    """Cohomology data from the eliminated outgoing delta and the incoming one."""
+def _canonical_reps(delta_cur: gf2.Solver, prev_columns: Optional[gf2.BitMatrix]) -> CohomologyLocal:
+    """Cohomology data from the eliminated outgoing delta and the incoming
+    one in column form (row j is its column j)."""
     cocycles = delta_cur.kernel().row_bits
-    boundary = gf2.IncrementalSpan(delta_cur.matrix.cols)
-    if prev_delta is not None:
-        boundary.extend(prev_delta.transpose().row_bits)
+    boundary = gf2.IncrementalSpan(delta_cur.size)
+    if prev_columns is not None:
+        boundary.extend(prev_columns.row_bits)
     grew = boundary.copy().extend(cocycles)
     return CohomologyLocal(boundary, tuple(v for v, g in zip(cocycles, grew) if g))
 
@@ -523,7 +522,8 @@ def _provenance_of_class(
     delta_cur: gf2.BitMatrix,
     local: CohomologyLocal,
 ) -> tuple[int, ...]:
-    """Lowest carrying cell per representative, via the cell filtration."""
+    """Lowest carrying cell per representative, via the cell filtration;
+    ``delta_cur`` is delta in column form."""
     n_cells = len(cplx.cells)
     if n_cells == 1:
         return tuple(0 for _ in range(local.dim))
@@ -539,13 +539,15 @@ def _provenance_of_class(
             break
         # cocycles vanishing above cell j: the kernel of delta with a unit
         # row appended for every column of a higher cell
-        units = tuple(1 << c for cell, cols in blocks if cell > j for c in cols)
-        if len(units) == total:
+        higher = [c for cell, cols in blocks if cell > j for c in cols]
+        if len(higher) == total:
             continue
-        rows = delta_cur.row_bits + units
-        sub_kernel = gf2.kernel_basis(gf2.BitMatrix(len(rows), total, rows))
+        columns = list(delta_cur.row_bits)
+        for r, c in enumerate(higher, delta_cur.cols):
+            columns[c] |= 1 << r
+        stacked = gf2.BitMatrix(total, delta_cur.cols + len(higher), columns)
         span = local.boundary_span.copy()
-        span.extend(sub_kernel.row_bits)
+        span.extend(gf2.Solver(stacked).kernel().row_bits)
         for idx in sorted(pending):
             if span.contains(local.rep_vectors[idx]):
                 out[idx] = j
@@ -578,7 +580,7 @@ def ext_over_complex(
     multi_cell = len(cplx.cells) > 1
     cache: dict = {}
     for t in range(t_hi + 1):
-        prev_delta: Optional[gf2.BitMatrix] = None
+        prev_delta: Optional[gf2.BitMatrix] = None  # in column form
         prev_rank = 0
         for s in range(s_hi + 1):
             _, cur_total = _hom_layout(cplx, M, s, t)
@@ -796,7 +798,7 @@ class ChainMap:
                 lhs = 0
                 vec = self.rows.get((s, i))
                 if vec:
-                    lhs = gf2.matvec(cplx.diff_matrix(s - self.s0, g.t - self.t0), vec)
+                    lhs = gf2.combine(cplx.diff_columns(s - self.s0, g.t - self.t0).row_bits, vec)
                 if lhs != _lift_rhs(self, s, i):
                     raise ResolutionError(f"chain map fails to commute at level {s}, gen {i}")
 
@@ -863,7 +865,7 @@ def _correction_kernel(cm: ChainMap, s_prev: int, h: int) -> tuple[int, ...]:
         return ()
     if ts == 0:
         return gf2.BitMatrix.identity(dim).row_bits
-    return gf2.kernel_basis(cplx.diff_matrix(ts, tt)).row_bits
+    return cplx.diff_solver(ts, tt).kernel().row_bits
 
 
 def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
@@ -883,23 +885,26 @@ def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
         psi_off.append(psi_off[-1] + len(kern))
     n_unknowns = psi_off[-1]
 
-    A: list[int] = []
+    # the joint system in column form: one column per unknown, with the
+    # equations of generator i in the rows from r0
+    cols = [0] * n_unknowns
     b = 0
+    r0 = 0
     for i, g in enumerate(gens_s):
         rhs = _lift_rhs(cm, s, i)
-        if cplx.free_dim(s - s0 - 1, g.t - t0) == 0:
+        n_rows = cplx.free_dim(s - s0 - 1, g.t - t0)
+        if n_rows == 0:
             if rhs:
                 raise LiftError(f"lift obstructed at level {s}: no target for a nonzero image")
             continue
-        r0 = len(A)
         b |= rhs << r0
-        A.extend(row << x_off[i] for row in cplx.diff_matrix(s - s0, g.t - t0).row_bits)
+        for j, col in enumerate(cplx.diff_columns(s - s0, g.t - t0).row_bits, x_off[i]):
+            cols[j] = col << r0
         for h, a in cplx.diff[s][i]:
             for k, kv in enumerate(kernels[h], psi_off[h]):
-                moved = cplx.apply_element(a, s - 1 - s0, cplx.gens[s - 1][h].t - t0, kv)
-                for r in gf2._set_bits(moved):
-                    A[r0 + r] ^= 1 << k
-    sol = gf2.solve(gf2.BitMatrix(len(A), n_unknowns, A), b)
+                cols[k] ^= cplx.apply_element(a, s - 1 - s0, cplx.gens[s - 1][h].t - t0, kv) << r0
+        r0 += n_rows
+    sol = gf2.Solver(gf2.BitMatrix(n_unknowns, r0, cols)).solve(b)
     if sol is None:
         raise LiftError(f"lift obstructed at level {s}: the seed class does not lift")
     for h, kern in enumerate(kernels):
@@ -960,16 +965,16 @@ def _trivial_layout(cplx: FreeComplex, s: int, t: int) -> list[int]:
 
 
 def _trivial_delta(cplx: FreeComplex, s: int, t: int) -> gf2.BitMatrix:
-    """Trivial-coefficient delta: functionals on level s to level s+1."""
+    """Trivial-coefficient delta, functionals on level s to level s+1, in
+    column form: row p is the column of the p-th source functional."""
     src_pos = {i: p for p, i in enumerate(_trivial_layout(cplx, s, t))}
-    rows = []
-    for gi in _trivial_layout(cplx, s + 1, t):
-        row = 0
+    tgt = _trivial_layout(cplx, s + 1, t)
+    cols = [0] * len(src_pos)
+    for r, gi in enumerate(tgt):
         for h, a in cplx.diff[s + 1][gi]:
             if h in src_pos and a.augmentation():
-                row ^= 1 << src_pos[h]
-        rows.append(row)
-    return gf2.BitMatrix(len(rows), len(src_pos), rows)
+                cols[src_pos[h]] ^= 1 << r
+    return gf2.BitMatrix(len(cols), len(tgt), cols)
 
 
 def _local_cohomology(cplx: FreeComplex, s: int, t: int) -> CohomologyLocal:
@@ -1140,6 +1145,7 @@ def select_self_map(
         return entries, total
 
     def dmat(k: int) -> gf2.BitMatrix:
+        """The bicomplex differential out of column k, in column form."""
         src, src_total = layout(k)
         tgt, tgt_total = layout(k + 1)
         src_pos = {(s, i): (off, size) for s, i, off, size in src}
@@ -1167,11 +1173,9 @@ def select_self_map(
             # term d(phi g)
             gp = src_pos.get((s, i))
             if gp is not None and gp[1]:
-                mat = X.diff_matrix(s - k, g.t - t0)
-                if mat.rows:
-                    for j, col in enumerate(mat.transpose().row_bits, gp[0]):
-                        cols[j] ^= col << off
-        return gf2.BitMatrix(src_total, tgt_total, cols).transpose()
+                for j, col in enumerate(X.diff_columns(s - k, g.t - t0).row_bits, gp[0]):
+                    cols[j] ^= col << off
+        return gf2.BitMatrix(src_total, tgt_total, cols)
 
     d_cur = gf2.Solver(dmat(s0))
     d_prev = dmat(s0 - 1) if s0 >= 1 else None
@@ -1199,9 +1203,9 @@ def select_self_map(
             if got is not None and got[1]:
                 vec |= ((rep >> got[0]) & 1) << p
         br_cols.append(x_local.class_coords(vec))
-    br = gf2.BitMatrix(len(br_cols), x_local.dim, br_cols).transpose()
-    sol = gf2.solve(br, target_coords)
-    window_matching = br.cols - gf2.rank(br)
+    br = gf2.Solver(gf2.BitMatrix(len(br_cols), x_local.dim, br_cols))
+    sol = br.solve(target_coords)
+    window_matching = br.size - br.rank
 
     # certified ambiguity: a map with vanishing bottom restriction factors
     # through the non-bottom cells of the target, so its classes are bounded

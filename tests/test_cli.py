@@ -213,11 +213,12 @@ def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, mo
 
 
 _ENGINE = {f"extforge.{m}" for m in ("gf2", "milnor", "modules", "resolution", "charts", "cobar", "bgpoly")}
-_RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip"}
-# command -> the modules of _ENGINE, gzip and concurrent.futures it may import
+_RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip", "dataclasses"}
+# command -> the modules of _ENGINE, gzip, dataclasses and concurrent.futures
+# it may import
 _COMMAND_IMPORTS = [
     (["--version"], set()),
-    (["bgpoly", "6"], {"extforge.bgpoly"}),
+    (["bgpoly", "6"], {"extforge.bgpoly", "dataclasses"}),
     (["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8"], _RESOLVER),
     (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "4", "--no-png"], _RESOLVER | {"extforge.charts"}),
 ]
@@ -239,9 +240,10 @@ def test_numpy_stays_out_of_the_package(tmp_path):
         assert "extforge" in roots and "numpy" not in roots, argv
         # the cache needs neither OpenSSL's hashes nor file locks
         assert not roots & {"hashlib", "_hashlib", "fcntl"}, (argv, sorted(roots))
-        # each command loads only the engine modules it runs, and a thread
-        # pool only for --jobs > 1
-        forbidden = (_ENGINE | {"gzip", "concurrent.futures"}) - allowed
+        # each command loads only the engine modules it runs, a thread pool
+        # only for --jobs > 1, and dataclasses (with inspect and ast) only
+        # with the engine
+        forbidden = (_ENGINE | {"gzip", "concurrent.futures", "dataclasses"}) - allowed
         assert not imported & forbidden, (argv, sorted(imported & forbidden))
 
 

@@ -132,7 +132,7 @@ def test_dense_roundtrip(dense):
 def test_rank_matches_reference(dense):
     m = to_matrix(dense)
     assert gf2.rank(m) == reference_rank(dense)
-    assert list(gf2.Solver(m).pivot_columns) == reference_rref(dense)[1]
+    assert list(gf2.Solver(m.transpose()).pivot_columns) == reference_rref(dense)[1]
 
 
 @_FEW
@@ -184,7 +184,7 @@ def test_solve_finds_preimages(dense, data):
 @given(dense_matrices(), st.data())
 def test_solver_agrees_with_solve(dense, data):
     m = to_matrix(dense)
-    solver = gf2.Solver(m)
+    solver = gf2.Solver(m.transpose())
     expected = None
     for rhs in data.draw(bit_arrays(3, m.rows)):
         expected = reference_solve(dense, rhs)
@@ -192,6 +192,48 @@ def test_solver_agrees_with_solve(dense, data):
             assert (got is None) == (expected is None)
             if got is not None:
                 assert np.array_equal(to_array(got, m.cols), expected)
+
+
+def _check_elimination(solver, dense, rhs_rows):
+    """Rank, pivots, kernel and solutions of ``solver`` against the RREF of dense."""
+    rows, cols = dense.shape
+    assert (solver.cols, solver.size) == (rows, cols)
+    assert solver.rank == reference_rank(dense)
+    assert list(solver.pivot_columns) == reference_rref(dense)[1]
+    kernel = solver.kernel()
+    assert (kernel.rows, kernel.cols) == (cols - solver.rank, cols)
+    assert np.array_equal(to_dense(kernel), reference_kernel(dense))
+    for rhs in rhs_rows:
+        expected = reference_solve(dense, rhs)
+        got = solver.solve(to_int(rhs))
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert np.array_equal(to_array(got, cols), expected)
+
+
+@_FEW
+@given(dense_matrices(), st.data())
+def test_column_elimination_matches_reference(dense, data):
+    """Columns handed over directly, then more columns added one by one."""
+    rows, cols = dense.shape
+    solver = gf2.Solver(to_matrix(dense.T))
+    image = (dense.astype(int) @ data.draw(bit_arrays(1, cols))[0].astype(int)) % 2
+    _check_elimination(solver, dense, [image, *data.draw(bit_arrays(2, rows))])
+    # candidates: drawn vectors, one inside the column space, a repeat
+    extra = list(data.draw(bit_arrays(data.draw(st.integers(0, 6)), rows)))
+    extra.insert(data.draw(st.integers(0, len(extra))), image)
+    if extra:
+        extra.append(extra[0])
+    grown = dense
+    for vec in extra:
+        wider = np.concatenate([grown, vec.reshape(rows, 1)], axis=1)
+        grows = reference_rank(wider) > reference_rank(grown)
+        assert solver.add(to_int(vec)) == grows
+        if grows:
+            grown = wider
+    # the span now eliminates the matrix with the growing vectors as columns
+    _check_elimination(solver, grown, data.draw(bit_arrays(3, rows)))
+    assert gf2.Solver(to_matrix(grown.T)).kernel() == solver.kernel()
 
 
 @_FEW

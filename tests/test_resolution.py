@@ -1,12 +1,15 @@
 """Resolution engine: minimality, cones, products, LES, self-map selection."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 from dense import to_array, to_dense, to_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_gf2 import reference_kernel, reference_solve
 
 from extforge import charts, gf2, milnor, modules
 from extforge import resolution as R
@@ -364,7 +367,40 @@ def test_diff_dense_matches_per_monomial_assembly(res_a1_small, res_a2_small, h8
             for t in range(cplx.max_t + 1):
                 got = cplx.diff_dense(s, t)
                 assert isinstance(got, gf2.BitMatrix)
-                assert np.array_equal(to_dense(got), _reference_diff(cplx, s, t)), (s, t)
+                assert np.array_equal(to_dense(got), _reference_diff(cplx, s, t).T), (s, t)
+
+
+def test_diff_solver_matches_reference_on_every_spot(res_a2_small, h8_small):
+    rng = np.random.default_rng(13)
+    for cplx in (res_a2_small, h8_small):
+        for s in range(len(cplx.gens)):
+            for t in range(cplx.max_t + 1):
+                dense = _reference_diff(cplx, s, t)
+                rows, cols = dense.shape
+                solver = cplx.diff_solver(s, t)
+                assert np.array_equal(to_dense(solver.kernel()), reference_kernel(dense)), (s, t)
+                image = (dense.astype(int) @ rng.integers(0, 2, cols)) % 2
+                for b in (image, rng.integers(0, 2, rows)):
+                    want = reference_solve(dense, b)
+                    got = solver.solve(to_int(b))
+                    assert (got is None) == (want is None), (s, t)
+                    if got is not None:
+                        assert np.array_equal(to_array(got, cols), want), (s, t)
+
+
+# sha256 of the sorted-key JSON of minimal_resolution(...).to_json_dict(),
+# as computed before resolutions ran on column eliminations
+PINNED_RESOLUTIONS = [
+    ("A1", 8, 22, "1978b6f3256df58e213ef7507d9cd6ff0c374436370a74a9f671b81674816e96"),
+    ("A2", 22, 100, "415f0d61e75fdfcfb6ae5bc7706b0354c4be1f1ca01d256fceb740ca1c04c238"),
+    ("FULL", 6, 30, "8ea0812738b449f8f053649babbfd995618acc848500d776ad019a8aac465aeb"),
+]
+
+
+@pytest.mark.parametrize("algebra, max_s, max_t, digest", PINNED_RESOLUTIONS)
+def test_resolution_bytes_are_pinned(algebra, max_s, max_t, digest):
+    doc = R.minimal_resolution(getattr(milnor, algebra), max_s, max_t).to_json_dict()
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,8 +465,8 @@ def test_hom_delta_matches_dense_assembly(res_a2_small, h8_small):
                 for s in range(len(cplx.gens) - 1):
                     got = R._hom_delta(cplx, M, s, t, cache)
                     assert isinstance(got, gf2.BitMatrix)
-                    assert np.array_equal(to_dense(got), _reference_hom_delta(cplx, M, s, t)), (s, t)
+                    assert np.array_equal(to_dense(got), _reference_hom_delta(cplx, M, s, t).T), (s, t)
                     assert got == R._hom_delta(cplx, M, s, t)
                     deltas.append(got)
                 for s in range(len(deltas) - 1):
-                    assert gf2.multiply(deltas[s + 1], deltas[s]).is_zero(), (s, t)
+                    assert gf2.multiply(deltas[s], deltas[s + 1]).is_zero(), (s, t)
