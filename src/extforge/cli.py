@@ -284,6 +284,9 @@ def build_coefficients(plan: DescriptorPlan, algebra: Profile, jobs: int = 1) ->
 
 H8_CLASS = (3, 3)  # h0^3
 V18_CLASS = (8, 24)  # v1^8 on the cone
+# the (window_s, window_t) of the v1^8 selection; fixed, so its certificate
+# does not depend on how deep a caller resolved
+V18_WINDOW = (V18_CLASS[0] + 3, V18_CLASS[1] + 6)
 
 
 def _h8v18_cone(res: FreeResolution) -> tuple[SelfMapSelection, Optional[FreeComplex]]:
@@ -292,16 +295,46 @@ def _h8v18_cone(res: FreeResolution) -> tuple[SelfMapSelection, Optional[FreeCom
     selection is not unique."""
     from .resolution import cone, select_self_map
 
-    X = cone(res, *H8_CLASS)
-    ws = min(res.max_s - 1, V18_CLASS[0] + 3)
-    wt = min(res.max_t, V18_CLASS[1] + 6)
-    if wt < V18_CLASS[1] + 4:
+    ws, wt = V18_WINDOW
+    # the window reads cone levels <= ws, which are final only over a
+    # resolution through level ws + 1 (see _resolution_depth)
+    if res.max_s < ws + 1:
+        raise UsageError(
+            f"selecting the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map needs a resolution "
+            f"through level {ws + 1}; this one stops at level {res.max_s}"
+        )
+    if res.max_t < wt:
         raise UsageError(
             f"bounds too small to select the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map; "
-            f"need --max-t >= {V18_CLASS[1] + 4}"
+            f"need --max-t >= {wt}"
         )
+    X = cone(res, *H8_CLASS)
     sel = select_self_map(X, *V18_CLASS, res, window_s=ws, window_t=wt)
     return sel, (cone(X, *V18_CLASS, sel.attach_coords) if sel.unique else None)
+
+
+def _resolution_depth(cell: Optional[str], max_s: int) -> int:
+    """How deep to resolve for a chart of filtration <= max_s over ``cell``:
+    the last resolution level that the chart's output depends on.
+
+    - ``ext_over_complex(X, ..., max_s)`` reads levels <= max_s + 1 of X.
+    - ``cone(base, ...)`` builds its level L from base levels <= L and the
+      lifted chain map's rows at level L.  Those rows are final only once
+      level L + 1 is solved, since a corrected level rewrites the one below
+      it and nothing lower (``lift_cocycle``).  So each cone costs one more
+      base level.
+    - Levels <= N of ``minimal_resolution(A, N, T)`` equal those of any
+      deeper resolution: it runs degree by degree, level by level within a
+      degree.
+
+    The v1^8 selection also reads levels <= V18_WINDOW[0] of the h0^3 cone
+    (its window, and the flanking spot (10, 27), which reads level 11).
+    """
+    if cell is None:
+        return max_s + 1
+    if cell == "h8":
+        return max_s + 2
+    return max(max_s + 3, V18_WINDOW[0] + 1)
 
 
 def build_chart(
@@ -322,9 +355,9 @@ def build_chart(
     # any other module is built first, so one the algebra cannot carry
     # fails before a resolution is computed or cached
     M = None if plain else build_coefficients(plan, algebra_profile(algebra_name), jobs=jobs)
-    # the cone on h0^3 consumes two filtration levels, the v1^8 cone seven more
-    res_s = max_s + (3 if plan.cell == "h8" else 10 if plan.cell == "h8v18" else 1)
-    res, _hit = resolve_cached(algebra_name, res_s, max_t, cache_dir, force=force, log=log)
+    res, _hit = resolve_cached(
+        algebra_name, _resolution_depth(plan.cell, max_s), max_t, cache_dir, force=force, log=log
+    )
     selections: dict[str, list[int]] = {}
     if plain:
         return ext_f2(res), selections

@@ -811,6 +811,11 @@ def lift_cocycle(cplx: FreeComplex, s0: int, t0: int, seed: dict[int, int]) -> C
     rule; when a level fails, the previous level is adjusted by cycle-valued
     corrections that keep its own equations (and, at the seed level, the
     represented class) intact, and the level is re-solved jointly.
+
+    A level's rows are final only after the next level is solved: a
+    corrected level rewrites the rows of the level below it, and nothing
+    lower.  So the rows at the top level of ``cplx`` may differ from those of
+    the same lift over a deeper complex; every level below it agrees.
     """
     if len(cplx.level_gens(0)) != 1 or cplx.level_gens(0)[0].t != 0:
         raise ResolutionError("complex must have a single bottom generator in degree 0")

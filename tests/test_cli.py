@@ -331,6 +331,58 @@ def test_ext_warm_cache_repeats_cold_output(tmp_path, capsys):
     cold = (tmp_path / "cold" / name).read_bytes()
     assert json.loads(cold)["self_map_selections"] == {"h8v18": [1]}
     assert (tmp_path / "warm" / name).read_bytes() == cold
+    # the cone pipeline resolved as deep as the v1^8 selection reads, which is
+    # the depth a plain chart of filtration 11 resolves to: they share the entry
+    key = f"res-v{resolution.RESOLUTION_FORMAT_VERSION}-A2-s12-t30"
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [f"{key}.json.gz"]
+    code, out, _ = run(
+        ["ext", "f2", "--algebra", "A2", "--max-s", "11", "--max-t", "30", "--no-png",
+         "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "f2")],
+        capsys,
+    )
+    assert code == 0 and f"cache hit: {key}" in out
+
+
+@pytest.mark.parametrize(
+    "descriptor, old_margin, bounds", [("h8", 3, (2, 5)), ("h8v18", 10, (3, 4))]
+)
+def test_cone_charts_match_the_deeper_resolutions(
+    descriptor, old_margin, bounds, tmp_path, capsys, monkeypatch
+):
+    """Cone charts over the derived depth are byte-identical to charts over
+    the deeper resolutions once used (max_s + 3 for h8, + 10 for h8v18)."""
+    real = cli.resolve_cached
+    for max_s in bounds:
+        for label in ("derived", "deeper"):
+            with monkeypatch.context() as m:
+                if label == "deeper":
+                    m.setattr(
+                        cli,
+                        "resolve_cached",
+                        lambda name, _depth, max_t, *a, **k: real(name, max_s + old_margin, max_t, *a, **k),
+                    )
+                for fmt in ("json", "tsv"):
+                    code, out, _ = run(
+                        ["ext", descriptor, "--algebra", "A2", "--max-s", str(max_s), "--max-t", "30",
+                         "--format", fmt, "--no-png", "--cache-dir", str(tmp_path / "cache"),
+                         "--out", str(tmp_path / label)],
+                        capsys,
+                    )
+                    assert code == 0
+            depth = max_s + old_margin if label == "deeper" else cli._resolution_depth(descriptor, max_s)
+            assert f"-A2-s{depth}-t30" in out
+        assert cli._resolution_depth(descriptor, max_s) < max_s + old_margin
+    written = sorted((tmp_path / "derived").iterdir())
+    assert len(written) == 2 * len(bounds)
+    for path in written:
+        assert path.read_bytes() == (tmp_path / "deeper" / path.name).read_bytes(), path.name
+
+
+def test_v18_selection_needs_its_window_resolved():
+    with pytest.raises(cli.UsageError, match="through level 12"):
+        cli._h8v18_cone(resolution.minimal_resolution(cli.algebra_profile("A2"), 11, 30))
+    with pytest.raises(cli.UsageError, match="--max-t >= 30"):
+        cli._h8v18_cone(resolution.minimal_resolution(cli.algebra_profile("A2"), 12, 29))
 
 
 def test_ext_window_filter(tmp_path, capsys):

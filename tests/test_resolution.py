@@ -216,6 +216,41 @@ def test_lifted_chain_maps_commute(res_a2_small, h8_small, monkeypatch):
     assert corrected
 
 
+def test_levels_below_the_top_do_not_depend_on_depth(res_a2_small, h8_small, monkeypatch):
+    """What the chart pipeline's resolution depth rests on: a resolution to
+    depth n agrees with a deeper one through level n, and a lift over it
+    agrees below level n, including a lift that corrects a level."""
+    deep = res_a2_small
+    corrected = []
+    joint = R._lift_level_with_correction
+    monkeypatch.setattr(R, "_lift_level_with_correction", lambda cm, s: corrected.append(s) or joint(cm, s))
+    seed = dict(R.select_self_map(h8_small, 8, 24, deep, window_s=11, window_t=30).chosen_seed)
+    h0_cube_deep = R._lift_class(deep, 3, 3)[0].rows
+    v18_deep = R.lift_cocycle(h8_small, 8, 24, seed).rows
+
+    def at(rows, levels):
+        return {k: v for k, v in rows.items() if k[0] in levels}
+
+    for n in (10, 11):
+        res = R.minimal_resolution(milnor.A2, n, deep.max_t)
+        for s in range(n + 1):
+            assert (res.gens[s], res.diff[s]) == (deep.gens[s], deep.diff[s]), (n, s)
+        below = range(n)
+        assert at(R._lift_class(res, 3, 3)[0].rows, below) == at(h0_cube_deep, below)
+        h8 = R.cone(res, 3, 3)
+        for s in below:
+            assert (h8.gens[s], h8.diff[s]) == (h8_small.gens[s], h8_small.diff[s]), (n, s)
+        corrected.clear()
+        v18 = R.lift_cocycle(h8, 8, 24, seed).rows
+        assert at(v18, below) == at(v18_deep, below)
+        if n == 10:
+            # the deep lift corrects level 11, which rewrites level 10: the
+            # top level of a shallow lift is not final
+            assert not corrected and at(v18, {10}) != at(v18_deep, {10})
+        else:
+            assert corrected == [11]
+
+
 def test_ext_dim_at_consistent(res_a2_small):
     bo1 = modules.bo(1)
     chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24, with_reps=False)
