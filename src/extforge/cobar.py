@@ -12,7 +12,7 @@ cobar cohomology dimensions must match the engine's chart wherever both
 are computed.  To keep that comparison meaningful the coproduct, the
 truncated polynomial arithmetic, and the comodule coactions here are all
 written from scratch: only the GF(2) linear algebra kernel is shared
-with the engine.  Do not "deduplicate" against modules.psi_dual_monomial;
+with the engine.  Do not "deduplicate" against milnor.psi_dual_monomial;
 the redundancy is the point.
 
 Cobar grading: an element [w_1 | ... | w_s] n sits in filtration s and
@@ -25,7 +25,7 @@ stem <= 14) are part of the contract.
 
 The module also carries a tiny admissible-basis toolkit (Adem
 straightening plus the coproduct pairing that converts admissible words
-to Milnor coordinates) used to cross-check the engine's Milnor-matrix
+to Milnor coordinates) used to cross-check the engine's coproduct-table
 multiplication against the Adem relations.
 """
 
@@ -523,7 +523,7 @@ def word_milnor_coordinates(word: Sequence[int]) -> frozenset[Monomial]:
     """Milnor-basis coordinates of a composite Sq^{j_1} ... Sq^{j_l}.
 
     Computed purely from the coproduct pairing, so it is independent of
-    both the Adem relations and the engine's Milnor-matrix product; the
+    both the Adem relations and the engine's product table; the
     three-way comparison is done in the test suite.
     """
     w = tuple(i for i in word if i != 0)

@@ -7,12 +7,11 @@ algebra (conjugate convention).  A(n) has profile (n+1, n, ..., 1); the full
 algebra is the unbounded profile.
 
 Milnor monomials Sq(r_1, ..., r_k) are dual to the monomials
-xi_1^{r_1} ... xi_k^{r_k}.  Products use the Milnor matrix formula.  Its
-multinomial coefficients are evaluated mod 2 by the no-carry criterion,
-applied per diagonal as the matrix is filled: an entry whose bits meet those
-of an entry already on its diagonal ends that branch of the enumeration.
-``product_mask`` gives a product as an int over the basis of its degree,
-which is the form the resolution engine's multiplication tables use.
+xi_1^{r_1} ... xi_k^{r_k}, so Sq(T) is a term of Sq(R) Sq(S) exactly when
+xi^R (x) xi^S is a term of the coproduct psi(xi^T).  Products come from one
+table per degree, filled by expanding psi(xi^T) once for each T of that
+degree.  ``product_mask`` reads a product as an int over the basis of its
+degree, which is the form the resolution engine's multiplication tables use.
 """
 
 from __future__ import annotations
@@ -72,6 +71,16 @@ class Profile:
             if r >= (1 << exponents[i] if i < n else 1):
                 return False
         return True
+
+    @property
+    def is_sub_hopf(self) -> bool:
+        """Adams-Margolis: psi(xi_n^{2^{h_n}}) lies in I (x) A + A (x) I, that is
+        each term xi_{n-i}^{2^{i+h_n}} (x) xi_i^{2^{h_n}} has h_{n-i} <= i + h_n
+        or h_i <= h_n.  Past n = 2 len(h) every term does."""
+        h = self.exponent
+        return self.is_full or all(
+            h(n - i) <= i + h(n) or h(i) <= h(n) for n in range(2, 2 * len(self.exponents) + 1) for i in range(1, n)
+        )
 
     def dimension(self) -> int:
         if self.exponents is None:
@@ -241,82 +250,127 @@ def basis_in_degree(algebra: Profile, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out, key=monomial_sort_key))
 
 
+def _psi_generator_power(i: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """psi(xi_i^{2^k}) = sum_j xi_{i-j}^{2^{j+k}} (x) xi_j^{2^k}, with xi_0 = 1."""
+    xi = lambda idx, e: (0,) * (idx - 1) + (e,) if idx else ()
+    return tuple((xi(i - j, 1 << (j + k)), xi(j, 1 << k)) for j in range(i + 1))
+
+
+class _Coproduct:
+    """psi(xi^t), the product of psi(xi_i^{2^k}) over the bits 2^k of each
+    t_i, for t of degree at most n, keeping the terms xi^R (x) xi^S whose
+    two factors the profile admits.
+
+    A term is one int, w bits per exponent with R in the low ``shift`` bits,
+    so multiplying terms adds ints.  Exponents only grow, so a partial term
+    with an inadmissible factor is dropped at once: a finite profile gives
+    each field a guard bit and drops a term once a field reaches bit h_i.
+    Over the full algebra the fields fit degree n and nothing is dropped.
+    """
+
+    def __init__(self, algebra: Profile, n: int):
+        exps = algebra.exponents
+        if exps is None:
+            self.fields, self.w, half = (n + 1).bit_length() - 1, max(n, 1).bit_length(), 0
+        else:
+            self.fields, self.w = len(exps), max(exps, default=0) + 1
+            half = sum(((1 << self.w) - (1 << h)) << (i * self.w) for i, h in enumerate(exps))
+        self.shift = self.fields * self.w
+        self.overflow = half | half << self.shift
+        self.halves: dict[int, tuple[int, ...]] = {}
+        self.factors = {
+            (i, k): [
+                self.pack(left) | self.pack(right) << self.shift
+                for left, right in _psi_generator_power(i, k)
+                if algebra.admits(left) and algebra.admits(right)
+            ]
+            for i in range(1, (n + 1).bit_length())
+            for k in range(n.bit_length())
+            if xi_degree(i) << k <= n
+        }
+
+    def pack(self, mono: tuple[int, ...]) -> int:
+        return sum(r << (i * self.w) for i, r in enumerate(mono))
+
+    def unpack(self, y: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        r, s, field = y & ((1 << self.shift) - 1), y >> self.shift, (1 << self.w) - 1
+        for x in (r, s):
+            if x not in self.halves:
+                self.halves[x] = normalize_monomial([x >> (i * self.w) & field for i in range(self.fields)])
+        return self.halves[r], self.halves[s]
+
+    def terms(self, t: tuple[int, ...]) -> set[int]:
+        acc, overflow = {0}, self.overflow
+        for i, e in enumerate(t, start=1):
+            for k in range(e.bit_length()):
+                if e >> k & 1:
+                    new: set[int] = set()
+                    for f in self.factors[i, k]:
+                        # distinct for one f, so only the sum over f cancels
+                        new ^= {y for x in acc if not (y := x + f) & overflow}
+                    acc = new
+        return acc
+
+
+_coproduct = lru_cache(maxsize=None)(_Coproduct)
+
+
 @lru_cache(maxsize=None)
-def basis_positions(algebra: Profile, n: int) -> dict[tuple[int, ...], int]:
-    """Index of each degree-n basis monomial in ``basis_in_degree``."""
-    return {m: k for k, m in enumerate(basis_in_degree(algebra, n))}
+def psi_dual_monomial(
+    mono: tuple[int, ...], algebra: Profile = FULL
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Coproduct of a dual monomial in the free polynomial dual, as the
+    sorted mod-2 collected (left, right) exponent vectors; over a profile,
+    only the terms whose two factors it admits."""
+    mono = normalize_monomial(mono)
+    psi = _coproduct(algebra, monomial_degree(mono))
+    pairs = [psi.unpack(y) for y in psi.terms(mono)]
+    return tuple(sorted(pairs, key=lambda p: (monomial_sort_key(p[0]), monomial_sort_key(p[1]))))
+
+
+@lru_cache(maxsize=None)
+def _degree_products(algebra: Profile, n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Every nonzero product Sq(R) * Sq(S) of degree n, as a mask over
+    ``basis_in_degree(algebra, n)``, keyed by (R, S).
+
+    Sq(T) is a term of Sq(R) * Sq(S) exactly when xi^R (x) xi^S is a term of
+    psi(xi^T), so expanding psi(xi^T) once for each T of degree n sets T's
+    bit in every product it occurs in.  A sub-Hopf profile's products stay
+    in the profile, so T runs over its own basis.  Any other profile runs T
+    over the full algebra's basis and raises on a product that leaves it.
+    """
+    psi = _Coproduct(algebra, n)
+    low, shift, halves = (1 << psi.shift) - 1, psi.shift, psi.halves
+    halves.update((psi.pack(m), m) for d in range(n + 1) for m in basis_in_degree(algebra, d))
+    positions = {m: k for k, m in enumerate(basis_in_degree(algebra, n))}
+    masks: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for t in basis_in_degree(algebra if algebra.is_sub_hopf else FULL, n):
+        terms = psi.terms(t)
+        if terms and t not in positions:
+            r, s = psi.unpack(min(terms))
+            raise ValueError(
+                f"product {_sq_str(r)} * {_sq_str(s)} escapes profile {algebra.describe()}: "
+                f"{t}; profile is not sub-Hopf"
+            )
+        bit = 1 << positions.get(t, 0)
+        for y in terms:
+            key = (halves[y & low], halves[y >> shift])
+            masks[key] = masks.get(key, 0) | bit
+    return masks
+
+
+def product_mask(algebra: Profile, r: tuple[int, ...], s: tuple[int, ...]) -> int:
+    """Sq(r) * Sq(s) as a mask: bit k is the k-th monomial of
+    ``basis_in_degree(algebra, |r| + |s|)``."""
+    return _degree_products(algebra, monomial_degree(r) + monomial_degree(s)).get((r, s), 0)
 
 
 @lru_cache(maxsize=None)
 def _product_monomials(algebra: Profile, r: tuple[int, ...], s: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Milnor matrix product of two basis monomials, as a set of monomials.
-
-    Enumerates the matrices x_{ij} (i = 0..R, j = 0..S, x_00 unused) with
-    sum_j 2^j x_{ij} = r_i and sum_i x_{ij} = s_j, row by row.  A matrix
-    counts mod 2 exactly when the entries on each diagonal i + j = n add with
-    no carry, so an entry is placed only if its bits are disjoint from the OR
-    of the entries already on its diagonal; the diagonal sum T_n is then that
-    OR.  The column remainders x_{0j} are placed last.
-    """
-    R, S = len(r), len(s)
-    if R == 0:
-        return frozenset([s])
-    if S == 0:
-        return frozenset([r])
-    result: set[tuple[int, ...]] = set()
-    diag = [0] * (R + S + 1)  # OR of the entries placed on diagonal n
-    col_left = [0] + list(s)  # s_j minus the entries placed in column j
-
-    def finish():
-        t = diag[:]
-        for j in range(1, S + 1):
-            if col_left[j] & t[j]:
-                return
-            t[j] |= col_left[j]
-        mono = normalize_monomial(t[1:])
-        if not algebra.admits(mono):
-            raise ValueError(
-                f"product {_sq_str(r)} * {_sq_str(s)} escapes profile {algebra.describe()}: "
-                f"{mono}; profile is not sub-Hopf"
-            )
-        result.symmetric_difference_update((mono,))
-
-    def place(i: int, j: int, remaining: int):
-        if j > S:
-            # x_{i0} takes what is left of r_i
-            if remaining & diag[i]:
-                return
-            diag[i] |= remaining
-            if i == R:
-                finish()
-            else:
-                place(i + 1, 1, r[i])
-            diag[i] ^= remaining
-            return
-        n = i + j
-        on_diag = diag[n]
-        for v in range(min(remaining >> j, col_left[j]) + 1):
-            if v & on_diag:
-                continue
-            diag[n] = on_diag | v
-            col_left[j] -= v
-            place(i, j + 1, remaining - (v << j))
-            col_left[j] += v
-        diag[n] = on_diag
-
-    place(1, 1, r[0])
-    return frozenset(result)
-
-
-@lru_cache(maxsize=None)
-def product_mask(algebra: Profile, r: tuple[int, ...], s: tuple[int, ...]) -> int:
-    """Sq(r) * Sq(s) as a mask: bit k is the k-th monomial of
-    ``basis_in_degree(algebra, |r| + |s|)``."""
-    pos = basis_positions(algebra, monomial_degree(r) + monomial_degree(s))
-    mask = 0
-    for mono in _product_monomials(algebra, r, s):
-        mask |= 1 << pos[mono]
-    return mask
+    """Sq(r) * Sq(s) as a set of monomials, decoded from ``product_mask``."""
+    basis = basis_in_degree(algebra, monomial_degree(r) + monomial_degree(s))
+    mask = product_mask(algebra, r, s)
+    return frozenset(m for k, m in enumerate(basis) if mask >> k & 1)
 
 
 def milnor_product(a: MilnorElement, b: MilnorElement) -> MilnorElement:
@@ -326,9 +380,5 @@ def milnor_product(a: MilnorElement, b: MilnorElement) -> MilnorElement:
     acc: set[tuple[int, ...]] = set()
     for r in a.terms:
         for s in b.terms:
-            for mono in _product_monomials(a.algebra, r, s):
-                if mono in acc:
-                    acc.discard(mono)
-                else:
-                    acc.add(mono)
+            acc ^= _product_monomials(a.algebra, r, s)
     return MilnorElement(a.algebra, frozenset(acc))

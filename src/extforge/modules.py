@@ -38,6 +38,7 @@ from .milnor import (
     monomial_weight,
     normalize_monomial,
     product_mask,
+    psi_dual_monomial,
 )
 
 FORMAT_VERSION = 1
@@ -56,52 +57,6 @@ def _add_exponents(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     return tuple(map(operator.add, a, b)) + a[len(b):]
-
-
-@lru_cache(maxsize=None)
-def _psi_generator_power(i: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Coproduct of the (2^k)-th power of the i-th dual generator.
-
-    psi(xi_i) = sum_j xi_{i-j}^{2^j} (x) xi_j, raised to the 2^k Frobenius.
-    """
-    out = []
-    for j in range(i + 1):
-        left = [0] * i
-        if i - j > 0:
-            left[i - j - 1] = 1 << (j + k)
-        right = [0] * i
-        if j > 0:
-            right[j - 1] = 1 << k
-        out.append((normalize_monomial(left), normalize_monomial(right)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def psi_dual_monomial(mono: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Full coproduct of a dual monomial in the free polynomial dual.
-
-    Returns the mod-2 collected list of (left, right) exponent vectors.
-    """
-    mono = normalize_monomial(mono)
-    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {(): 1} if not mono else {}
-    acc: set[tuple[tuple[int, ...], tuple[int, ...]]] = {((), ())}
-    for i, e in enumerate(mono, start=1):
-        k = 0
-        while e:
-            if e & 1:
-                factor = _psi_generator_power(i, k)
-                new: set = set()
-                for l0, r0 in acc:
-                    for l1, r1 in factor:
-                        key = (_add_exponents(l0, l1), _add_exponents(r0, r1))
-                        if key in new:
-                            new.discard(key)
-                        else:
-                            new.add(key)
-                acc = new
-            e >>= 1
-            k += 1
-    return tuple(sorted(acc, key=lambda p: (monomial_sort_key(p[0]), monomial_sort_key(p[1]))))
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +243,6 @@ class FiniteModule:
                         raise ComoduleError(f"counit term of {self.basis[i].label} is off-diagonal")
             if counit_hits != 1:
                 raise ComoduleError(f"counit axiom fails at {self.basis[i].label}")
-        # psi(mu) with both factors in the profile, once per distinct mu
-        psi_in_profile: dict[tuple[int, ...], list] = {}
         for i in range(len(self.basis)):
             lhs: set = set()
             for j, gamma in self.coaction[i]:
@@ -301,14 +254,7 @@ class FiniteModule:
                         lhs.add(key)
             rhs: set = set()
             for k, mu in self.coaction[i]:
-                splits = psi_in_profile.get(mu)
-                if splits is None:
-                    splits = psi_in_profile[mu] = [
-                        (left, right)
-                        for left, right in psi_dual_monomial(mu)
-                        if admits(left) and admits(right)
-                    ]
-                for left, right in splits:
+                for left, right in psi_dual_monomial(mu, self.algebra):
                     key = (k, left, right)
                     if key in rhs:
                         rhs.remove(key)

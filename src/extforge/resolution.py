@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import gf2
-from .milnor import MilnorElement, Profile, basis_in_degree, product_mask
+from .milnor import MilnorElement, Profile, _degree_products, basis_in_degree
 from .modules import FiniteModule
 
 RESOLUTION_FORMAT_VERSION = 1
@@ -55,23 +55,22 @@ def _mul_cols(algebra: Profile, side: str, a: MilnorElement, d: int) -> tuple[in
 
     Layout: one Python int per column, column j for the j-th basis monomial
     of degree d; bit k of a column is the coefficient of the k-th basis
-    monomial of degree d + |a|.  A column is the XOR of the ``product_mask``
-    of its monomial with each term of ``a``.  Tables are keyed by the whole
-    element, so a block of a differential is one lookup however many terms
-    it has.
+    monomial of degree d + |a|.  A column is the XOR of the product masks of
+    its monomial with each term of ``a``, read from the one Milnor product
+    table of degree d + |a|.  Tables are keyed by the whole element, so a
+    block of a differential is one lookup however many terms it has.
     """
     key = (side, algebra.exponents, a.terms, d)
     out = _mul_cache.get(key)
     if out is None:
-        src = basis_in_degree(algebra, d)
-        cols = [0] * len(src)
-        for j, m in enumerate(src):
+        products = _degree_products(algebra, d + (a.degree or 0)).get
+        cols = []
+        for m in basis_in_degree(algebra, d):
             col = 0
             for term in a.terms:
-                col ^= product_mask(algebra, m, term) if side == "r" else product_mask(algebra, term, m)
-            cols[j] = col
-        out = tuple(cols)
-        _mul_cache[key] = out
+                col ^= products((m, term), 0) if side == "r" else products((term, m), 0)
+            cols.append(col)
+        out = _mul_cache[key] = tuple(cols)
     return out
 
 

@@ -1,13 +1,14 @@
 """Milnor-basis arithmetic: profiles, bases, and the product."""
 
 import functools
+import itertools
 import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extforge import milnor
+from extforge import milnor, resolution
 from extforge.milnor import MilnorElement, Profile
 
 
@@ -258,16 +259,49 @@ def test_product_formula_matches_reference_on_full_algebra(pair):
     assert milnor._product_monomials.__wrapped__(milnor.FULL, r, s) == reference_product(r, s)
 
 
-def test_product_mask_decodes_to_milnor_product_on_a2():
-    A = milnor.A2
-    for r in A2_BASIS:
-        for s in A2_BASIS:
-            monos = milnor.basis_in_degree(A, milnor.monomial_degree(r) + milnor.monomial_degree(s))
-            mask = milnor.product_mask(A, r, s)
+def test_product_mask_matches_reference_on_a1_and_a2():
+    for algebra in (milnor.A1, milnor.A2):
+        basis = _basis(algebra, algebra.top_degree())
+        for r, s in itertools.product(basis, basis):
+            monos = milnor.basis_in_degree(algebra, milnor.monomial_degree(r) + milnor.monomial_degree(s))
+            mask = milnor.product_mask(algebra, r, s)
             assert mask.bit_length() <= len(monos)
             decoded = {monos[k] for k in range(len(monos)) if mask >> k & 1}
-            expected = milnor.milnor_product(MilnorElement.sq(A, *r), MilnorElement.sq(A, *s)).terms
-            assert decoded == expected, (r, s)
+            assert decoded == reference_product(r, s), (algebra.describe(), r, s)
+
+
+def test_sub_hopf_predicate_on_named_profiles():
+    for profile in (milnor.A1, milnor.A2, milnor.A3, milnor.FULL, Profile((1,))):
+        assert profile.is_sub_hopf, profile.describe()
+    assert not Profile((1, 2)).is_sub_hopf
+
+
+@pytest.mark.parametrize("exponents", [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1)])
+def test_sub_hopf_predicate_matches_closure_under_products(exponents):
+    # closure read from full-algebra products, which never consult the predicate
+    profile = Profile(exponents)
+    basis = _basis(profile, profile.top_degree())
+    closed = all(
+        profile.admits(t) for r in basis for s in basis for t in milnor._product_monomials(milnor.FULL, r, s)
+    )
+    assert profile.is_sub_hopf == closed
+
+
+def test_a2_products_are_stored_once():
+    for r in A2_BASIS:
+        for s in A2_BASIS:
+            milnor.product_mask(milnor.A2, r, s)
+    tables = [milnor._degree_products(milnor.A2, n) for n in range(2 * milnor.A2.top_degree() + 1)]
+    assert sum(len(table) for table in tables) == 1229
+    assert all(mask for table in tables for mask in table.values())
+
+
+def test_resolving_decodes_no_products():
+    milnor._product_monomials.cache_clear()
+    milnor._degree_products.cache_clear()
+    resolution._mul_cache.clear()
+    resolution.minimal_resolution(milnor.A2, 6, 30)
+    assert milnor._product_monomials.cache_info().currsize == 0
 
 
 def test_product_escaping_profile_names_factors():

@@ -1,5 +1,7 @@
 """Finite module layer: constructors, Cartan tensor action, exact-sequence checks."""
 
+import hashlib
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -150,6 +152,53 @@ def test_add_exponents_matches_normalized_padded_sum(a, b):
     n = max(len(a), len(b))
     padded = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
     assert modules._add_exponents(a, b) == milnor.normalize_monomial(padded)
+
+
+def reference_psi(mono: tuple[int, ...]) -> set:
+    """psi(xi^mono) multiplied out over tuples, one factor
+    psi(xi_i) = sum_j xi_{i-j}^{2^j} (x) xi_j at a time (no Frobenius)."""
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        return milnor.normalize_monomial([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+    def xi(i, e):
+        return milnor.normalize_monomial([0] * (i - 1) + [e]) if i else ()
+
+    acc = {((), ())}
+    for i, e in enumerate(mono, start=1):
+        for _ in range(e):
+            new = set()
+            for left, right in acc:
+                for j in range(i + 1):
+                    new ^= {(add(left, xi(i - j, 1 << j)), add(right, xi(j, 1)))}
+            acc = new
+    return acc
+
+
+def test_psi_dual_monomial_matches_reference():
+    for n in range(23):
+        for mono in milnor.basis_in_degree(milnor.FULL, n):
+            expected = reference_psi(mono)
+            assert set(milnor.psi_dual_monomial(mono)) == expected, mono
+            in_a2 = {(l, r) for l, r in expected if milnor.A2.admits(l) and milnor.A2.admits(r)}
+            assert set(milnor.psi_dual_monomial(mono, milnor.A2)) == in_a2, mono
+    assert modules.psi_dual_monomial is milnor.psi_dual_monomial
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: modules.bo(1), "b21dd25dd7723e1c"),
+        (lambda: modules.bo(2), "6663ce08d1a40ba3"),
+        (lambda: modules.quotient_hopf_module(milnor.A2, milnor.A1), "42183cb8bcd6e293"),
+    ],
+    ids=["bo1", "bo2", "A2//A1"],
+)
+def test_coaction_tables_are_pinned(build, digest):
+    # digests of the tables built by the tuple-based coproduct this replaced
+    blob = json.dumps([list(map(list, terms)) for terms in build().coaction], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
 def _splitting_from_fresh_modules(max_degree):
