@@ -209,29 +209,24 @@ class SummandEnumeration:
     dropped: tuple[SummandDescriptor, ...]
 
 
-def enumerate_summands(
-    I: Sequence[int],
-    window: Window,
-    M_cells: Sequence[int] = (0,),
-) -> SummandEnumeration:
-    """E1-page summands of Ext(bo_I (x) M) that can meet the window.
+def enumerate_summands(I: Sequence[int], window: Window) -> SummandEnumeration:
+    """E1-page summands of Ext(bo_I) that can meet the window.
 
-    A summand is kept when its bottom class (suspension plus the bottom cell
-    of M) lies strictly below the window's top stem and its homological
+    A summand is kept when its bottom class (at stem 8l; M here is F2 in
+    degree 0) lies strictly below the window's top stem and its homological
     shift is inside the window's filtration range.  The A(1)-residual and
     out-of-range terms are reported, not silently discarded: above the
     vanishing line of a1_vanishing_filter the residue provably cannot
     contribute, below it a genuine A(1) computation would be needed.
     """
     poly = f_multi(I)
-    bottom = min(M_cells) if M_cells else 0
     max_stem = _window_max_stem(window)
     (_, s_hi), _ = window
     kept: list[SummandDescriptor] = []
     dropped: list[SummandDescriptor] = []
     for (k, l, m), c in poly.coefficients:
         desc = SummandDescriptor(8 * l + k, m, k, c)
-        if 8 * l + bottom < max_stem and k <= s_hi:
+        if 8 * l < max_stem and k <= s_hi:
             kept.append(desc)
         else:
             dropped.append(desc)
@@ -257,11 +252,7 @@ def a1_vanishing_filter(t_minus_s: int, s: int) -> bool:
     return Fraction(s) > Fraction(t_minus_s, 7) + Fraction(51, 7)
 
 
-def e1_window(
-    n: int,
-    window: Window,
-    M_cells: Sequence[int] = (0,),
-) -> list[tuple[tuple[int, ...], SummandEnumeration]]:
+def e1_window(n: int, window: Window) -> list[tuple[tuple[int, ...], SummandEnumeration]]:
     """Multi-indices of the n-line whose suspension reaches the window.
 
     The n-line term for I = (i_1, ..., i_n) carries a total suspension of
@@ -270,16 +261,13 @@ def e1_window(
     """
     if n < 1:
         raise ValueError("resolution line must be positive")
-    max_stem = _window_max_stem(window)
-    bottom = min(M_cells) if M_cells else 0
-    budget = max_stem - bottom
     out: list[tuple[tuple[int, ...], SummandEnumeration]] = []
 
-    # enumerate i_1, ..., i_n >= 1 with 8 * sum(I) strictly below the budget
+    # enumerate i_1, ..., i_n >= 1 with 8 * sum(I) strictly below the top stem
     def rec(prefix: list[int], remaining: int, budget_left: int):
         if remaining == 0:
             I = tuple(prefix)
-            out.append((I, enumerate_summands(I, window, M_cells)))
+            out.append((I, enumerate_summands(I, window)))
             return
         i = 1
         while 8 * i + 8 * (remaining - 1) < budget_left:
@@ -288,6 +276,6 @@ def e1_window(
             prefix.pop()
             i += 1
 
-    rec([], n, budget)
+    rec([], n, _window_max_stem(window))
     out.sort(key=lambda pair: pair[0])
     return out

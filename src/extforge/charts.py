@@ -33,46 +33,44 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .resolution import NAMED_CLASS_BIDEGREES
 
-_DEFAULT_CELL_GLYPHS: tuple[tuple[str, str], ...] = (
-    ("0", "solid-dot"),
-    ("1", "open-circle"),
-    ("17", "solid-triangle"),
-    ("18", "open-triangle"),
-)
+UNIT = 18  # SVG units between adjacent stems or filtrations
+MARGIN = 36  # SVG units around the plotted grid
+PRODUCT_LINES = ("h0", "h1", "h2")  # drawn under the glyphs, in this order
+_CELL_GLYPHS = {
+    "0": "solid-dot",
+    "1": "open-circle",
+    "17": "solid-triangle",
+    "18": "open-triangle",
+}
+_DEFAULT_GLYPH = "solid-dot"
 
 
 @dataclass(frozen=True)
 class ChartStyle:
-    """Marker rules, axis ranges, and product-line toggles."""
+    """What a chart draws beyond its classes: towers and a stem window.
 
-    unit: int = 18
-    margin: int = 36
-    cell_glyphs: tuple[tuple[str, str], ...] = _DEFAULT_CELL_GLYPHS
-    default_glyph: str = "solid-dot"
+    ``tower_roots`` and ``tower_classes`` are the (s, t) bidegrees drawn as
+    tower boxes and tower crosses; ``stem_range`` clips the chart to the
+    stems lo..hi.  Scale, margins, cell glyphs and the product lines
+    (``PRODUCT_LINES``) are fixed.
+    """
+
     tower_roots: frozenset = frozenset()
     tower_classes: frozenset = frozenset()
-    product_lines: tuple[str, ...] = ("h0", "h1", "h2")
     stem_range: Optional[tuple[int, int]] = None
-    max_filt: Optional[int] = None
 
     def glyph_for(self, spot: tuple[int, int], label: str) -> str:
         """The unique glyph of one class: tower rules first, then cell tag."""
-        s, t = spot
-        if (s, t) in self.tower_roots:
+        if spot in self.tower_roots:
             return "tower-box"
-        if (s, t) in self.tower_classes:
+        if spot in self.tower_classes:
             return "tower-cross"
         m = re.search(r"\[([^\]]+)\]$", label)
-        if m:
-            for cell, glyph in self.cell_glyphs:
-                if m.group(1) == cell:
-                    return glyph
-            return self.default_glyph
-        return self.default_glyph
+        return _CELL_GLYPHS.get(m.group(1), _DEFAULT_GLYPH) if m else _DEFAULT_GLYPH
 
 
 @dataclass
@@ -119,19 +117,15 @@ def parse_tsv(text: str) -> TsvChart:
     return out
 
 
-def render_text(chart, max_stem: Optional[int] = None, max_filt: Optional[int] = None) -> str:
+def render_text(chart, max_stem: Optional[int] = None) -> str:
     """ASCII grid, filtration upward, one digit per bidegree ('+' past 9)."""
     if not chart.dims:
         return "(empty chart)\n"
     stems = [t - s for (s, t) in chart.dims]
-    filts = [s for (s, t) in chart.dims]
     hi_stem = min(max(stems), max_stem) if max_stem is not None else max(stems)
-    hi_filt = min(max(filts), max_filt) if max_filt is not None else max(filts)
+    hi_filt = max(s for (s, t) in chart.dims)
     lo_stem = min(0, min(stems))
-    grid = {}
-    for (s, t), d in chart.dims.items():
-        if lo_stem <= t - s <= hi_stem and s <= hi_filt:
-            grid[(t - s, s)] = d
+    grid = {(t - s, s): d for (s, t), d in chart.dims.items()}
     lines = []
     for s in range(hi_filt, -1, -1):
         row = [f"{s:3d} |"]
@@ -164,10 +158,10 @@ _SVG_STYLE = (
 )
 
 
-def _offsets(k: int, unit: int) -> list[float]:
+def _offsets(k: int) -> list[float]:
     if k <= 1:
         return [0.0]
-    step = min(6.0, 0.8 * unit / (k - 1))
+    step = min(6.0, 0.8 * UNIT / (k - 1))
     return [(i - (k - 1) / 2) * step for i in range(k)]
 
 
@@ -224,7 +218,6 @@ def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
         for (s, t), d in chart.dims.items()
         if d
         and (style.stem_range is None or style.stem_range[0] <= t - s <= style.stem_range[1])
-        and (style.max_filt is None or s <= style.max_filt)
     }
     if spots:
         lo_stem = min(t - s for (s, t) in spots)
@@ -236,41 +229,37 @@ def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
         lo_stem, hi_stem = style.stem_range
     else:
         lo_stem = min(lo_stem, 0)
-    unit, margin = style.unit, style.margin
-    width = 2 * margin + (hi_stem - lo_stem) * unit
-    height = 2 * margin + hi_filt * unit
+    width = 2 * MARGIN + (hi_stem - lo_stem) * UNIT
+    height = 2 * MARGIN + hi_filt * UNIT
 
     def x_of(stem: int) -> float:
-        return margin + (stem - lo_stem) * unit
+        return MARGIN + (stem - lo_stem) * UNIT
 
     def y_of(s: int) -> float:
-        return height - margin - s * unit
+        return height - MARGIN - s * UNIT
 
     axes = (
-        (margin, height - margin, width - margin + 10, height - margin),
-        (margin, height - margin, margin, margin - 10),
+        (MARGIN, height - MARGIN, width - MARGIN + 10, height - MARGIN),
+        (MARGIN, height - MARGIN, MARGIN, MARGIN - 10),
     )
     ticks = [
-        (str(stem), x_of(stem), height - margin + 14, "middle")
+        (str(stem), x_of(stem), height - MARGIN + 14, "middle")
         for stem in range(lo_stem, hi_stem + 1)
         if stem % 5 == 0
     ]
     ticks += [
-        (str(s), margin - 8, y_of(s) + 3, "end") for s in range(0, hi_filt + 1) if s % 5 == 0
+        (str(s), MARGIN - 8, y_of(s) + 3, "end") for s in range(0, hi_filt + 1) if s % 5 == 0
     ]
 
     offset_of: dict[tuple[int, int], list[float]] = {
-        key: _offsets(d, unit) for key, d in spots.items()
+        key: _offsets(d) for key, d in spots.items()
     }
     lines = []
-    for name in style.product_lines:
+    for name in PRODUCT_LINES:
         table = products.get(name)
         if not table:
             continue
-        bidegree = NAMED_CLASS_BIDEGREES.get(name)
-        if bidegree is None:
-            continue
-        ds, dt = bidegree
+        ds, dt = NAMED_CLASS_BIDEGREES[name]
         for (s, t) in sorted(table):
             src = (s, t)
             tgt = (s + ds, t + dt)
@@ -294,7 +283,7 @@ def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
             glyphs.append((style.glyph_for((s, t), label), x_of(t - s) + off, y_of(s), label))
         groups.append(((t - s, s), tuple(glyphs)))
     return ChartLayout(
-        width, height, max(2.5, unit * 0.16), axes, tuple(ticks), tuple(lines), tuple(groups)
+        width, height, max(2.5, UNIT * 0.16), axes, tuple(ticks), tuple(lines), tuple(groups)
     )
 
 
@@ -330,7 +319,7 @@ def render_svg(chart, style: Optional[ChartStyle] = None) -> str:
 
 PNG_SCALE = 2  # pixels per SVG unit
 
-# grey levels of the SVG stylesheet; product lines it gives no stroke are not drawn
+# grey levels of the SVG stylesheet
 _AXIS_SHADE = 0x22
 _LINE_SHADES = {"h0": 0x00, "h1": 0x55, "h2": 0x99}
 _AXIS_WIDTH = 1.0
@@ -483,8 +472,7 @@ def render_png(chart, path, style: Optional[ChartStyle] = None) -> str:
     for text, x, y, anchor in lay.ticks:
         canvas.text(text, x, y, anchor, _AXIS_SHADE)
     for name, x1, y1, x2, y2 in lay.lines:
-        if name in _LINE_SHADES:
-            canvas.segment(x1, y1, x2, y2, _LINE_WIDTH, _LINE_SHADES[name])
+        canvas.segment(x1, y1, x2, y2, _LINE_WIDTH, _LINE_SHADES[name])
     for _, glyphs in lay.groups:
         for kind, x, y, _label in glyphs:
             canvas.glyph(kind, x, y, lay.radius)

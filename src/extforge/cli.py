@@ -327,13 +327,15 @@ def _resolution_depth(cell: Optional[str], max_s: int) -> int:
       deeper resolution: it runs degree by degree, level by level within a
       degree.
 
-    The v1^8 selection also reads levels <= V18_WINDOW[0] of the h0^3 cone
-    (its window, and the flanking spot (10, 27), which reads level 11).
+    Each cone also needs the level of the class it cones off: h0^3 sits at
+    level H8_CLASS[0].  The v1^8 selection reads levels <= V18_WINDOW[0] of
+    the h0^3 cone (its window, and the flanking spot (10, 27), which reads
+    level 11).
     """
     if cell is None:
         return max_s + 1
     if cell == "h8":
-        return max_s + 2
+        return max(max_s + 2, H8_CLASS[0])
     return max(max_s + 3, V18_WINDOW[0] + 1)
 
 
@@ -350,6 +352,8 @@ def build_chart(
     """Resolve, build any cone object, and compute the requested chart."""
     from .resolution import ResolutionError, cone, ext_f2, ext_over_complex
 
+    if plan.cell == "h8" and max_t < H8_CLASS[1]:
+        raise UsageError(f"the cone on h0^3 needs --max-t >= {H8_CLASS[1]}, got {max_t}")
     # a plain F2 chart counts generators and needs no coefficient module
     plain = plan.cell is None and all(f.atom == "f2" and not f.suspension for f in plan.factors)
     # any other module is built first, so one the algebra cannot carry
@@ -500,11 +504,13 @@ def cmd_bgpoly(args: argparse.Namespace) -> int:
         raise UsageError(f"index must be an integer or comma list, got {args.index!r}") from exc
     if not parts:
         raise UsageError("empty index")
+    try:
+        poly = bgpoly.f(parts[0]) if len(parts) == 1 else bgpoly.f_multi(parts)
+    except ValueError as exc:
+        raise UsageError(f"index {args.index!r}: {exc}") from exc
     if len(parts) == 1:
-        poly = bgpoly.f(parts[0])
         label = f"f_{parts[0]}"
     else:
-        poly = bgpoly.f_multi(parts)
         label = "f_{" + ",".join(str(p) for p in parts) + "}"
     _say(f"{label} = {poly}")
     for (k, l, m), mult in sorted(poly.coefficients):
@@ -525,17 +531,30 @@ def cmd_bgpoly(args: argparse.Namespace) -> int:
 VerifyItem = tuple[str, bool, str]
 
 
+def _oracle_bounds(args: argparse.Namespace) -> tuple[int, int]:
+    """The oracle suite's (max_s, max_stem), checked against the cobar budget."""
+    from .cobar import MAX_S, MAX_STEM
+
+    max_s = args.suite_max_s if args.suite_max_s is not None else 6
+    max_stem = args.suite_max_stem if args.suite_max_stem is not None else 12
+    if not (0 <= max_s <= MAX_S and 0 <= max_stem <= MAX_STEM):
+        raise UsageError(
+            f"the oracle needs 0 <= --suite-max-s <= {MAX_S} and "
+            f"0 <= --suite-max-stem <= {MAX_STEM}, got ({max_s}, {max_stem})"
+        )
+    return max_s, max_stem
+
+
 def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
     """Generator-count dims against the cobar Cotor dims, both coefficient rows."""
     from . import cobar, modules
     from .resolution import ext_f2, ext_over_complex, minimal_resolution
 
-    max_s = args.suite_max_s if args.suite_max_s is not None else 6
-    max_stem = args.suite_max_stem if args.suite_max_stem is not None else 12
+    max_s, max_stem = _oracle_bounds(args)
     items: list[VerifyItem] = []
     for alg_name in ("A1", "A2"):
         algebra = algebra_profile(alg_name)
-        res = minimal_resolution(algebra, max_s + 2, max_stem + max_s + 2)
+        res = minimal_resolution(algebra, _resolution_depth(None, max_s), max_stem + max_s)
         for coeff_name, M in (("trivial", None), ("bo1", modules.bo(1, algebra))):
             chart = (
                 ext_f2(res, install_products=())
@@ -619,7 +638,9 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     from .resolution import ext_dim_at
 
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    res, _ = resolve_cached("A2", 13, 48, cache_dir, force=args.force, log=_say)
+    max_s = max(s for _, s, _ in _fallback_window_spots().values())
+    depth = _resolution_depth("h8v18", max_s)
+    res, _ = resolve_cached("A2", depth, 48, cache_dir, force=args.force, log=_say)
     sel, H8V = _h8v18_cone(res)
     items: list[VerifyItem] = [
         (
@@ -661,11 +682,13 @@ def _suite_les(args: argparse.Namespace) -> list[VerifyItem]:
     from . import modules
     from .resolution import attaching_action, cone, ext_f2, ext_over_complex, les_consistency
 
+    max_s = 12
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    res, _ = resolve_cached("A2", 14, 44, cache_dir, force=args.force, log=_say)
+    depth = _resolution_depth("h8", max_s)
+    res, _ = resolve_cached("A2", depth, 44, cache_dir, force=args.force, log=_say)
     sphere = ext_f2(res, install_products=())
     X = cone(res, *H8_CLASS)
-    chart = ext_over_complex(X, modules.trivial(algebra_profile("A2")), "F2", max_s=res.max_s - 2)
+    chart = ext_over_complex(X, modules.trivial(algebra_profile("A2")), "F2", max_s=max_s)
     theta = attaching_action(sphere, *H8_CLASS)
     report = les_consistency(sphere, chart, theta, *H8_CLASS)
     return [
@@ -696,6 +719,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or all")
+    if "oracle" in names:
+        _oracle_bounds(args)  # a bad bound fails before any suite runs
     results: list[VerifyItem] = []
     if args.jobs > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -232,16 +232,10 @@ def comodule_from_module(M) -> Comodule:
     the bridge agrees with comodule_from_monomials.
     """
     profile = M.algebra
-    degs = M.degrees()
-    by_degree: dict[int, tuple[int, ...]] = {}
-    for d in sorted(set(degs)):
-        by_degree[d] = M.basis_in_degree(d)
-    pos_in_degree = {}
-    for d, idxs in by_degree.items():
-        for pos, i in enumerate(idxs):
-            pos_in_degree[i] = pos
-    bottom = min(degs) if degs else 0
-    table: list[tuple[tuple[Monomial, int], ...]] = [() for _ in degs]
+    degs = tuple(b.degree for b in M.basis)
+    pos_in_degree = {i: pos for d in set(degs) for pos, i in enumerate(M.basis_in_degree(d))}
+    bottom = min(degs, default=0)
+    table: list[tuple[tuple[Monomial, int], ...]] = []
     for j, dj in enumerate(degs):
         acc: dict[tuple[Monomial, int], int] = {}
         for e in dual_basis(profile, dj - bottom):
@@ -253,12 +247,12 @@ def comodule_from_module(M) -> Comodule:
                 continue
             mat = M.monomial_action_matrix(e, dj)
             col = pos_in_degree[j]
-            for pos, k in enumerate(by_degree[tgt]):
+            for pos, k in enumerate(M.basis_in_degree(tgt)):
                 if mat.get(pos, col):
                     key = (e, k)
                     acc[key] = acc.get(key, 0) ^ 1
-        table[j] = tuple(sorted(k for k, bit in acc.items() if bit))
-    return Comodule(profile, tuple(degs), tuple(f"m{j}" for j in range(len(degs))), tuple(table))
+        table.append(tuple(sorted(k for k, bit in acc.items() if bit)))
+    return Comodule(profile, degs, tuple(f"m{j}" for j in range(len(degs))), tuple(table))
 
 
 # ---------------------------------------------------------------------------

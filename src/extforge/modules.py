@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import gf2
 from .milnor import (
-    FULL,
     A1,
     A2,
     MilnorElement,
@@ -109,7 +108,6 @@ class BasisElement:
     label: str
     degree: int
     weight: Optional[int] = None
-    key: object = None
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,6 @@ class FiniteModule:
         basis: Sequence[BasisElement],
         coaction: Sequence[Sequence[CoactionTerm]],
         name: str = "",
-        meta: Optional[dict] = None,
         validate: bool = True,
     ):
         if algebra.is_full:
@@ -182,7 +179,6 @@ class FiniteModule:
             reordered.append(tuple(sorted(k for k, v in terms.items() if v)))
         self.coaction: tuple[tuple[CoactionTerm, ...], ...] = tuple(reordered)
         self.name = name
-        self.meta = dict(meta or {})
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for idx, b in enumerate(self.basis):
             self._by_degree.setdefault(b.degree, ())
@@ -351,7 +347,7 @@ class FiniteModule:
         }
 
     @staticmethod
-    def from_json_dict(doc: dict, validate: bool = True) -> "FiniteModule":
+    def from_json_dict(doc: dict) -> "FiniteModule":
         if doc.get("format_version") != FORMAT_VERSION:
             raise ComoduleError(f"unsupported module format {doc.get('format_version')}")
         algebra = Profile(tuple(doc["algebra"]))
@@ -362,7 +358,7 @@ class FiniteModule:
             ]
         else:
             coaction = _coaction_from_generator_actions(algebra, basis, doc["actions"])
-        return FiniteModule(algebra, basis, coaction, name=doc.get("name", ""), validate=validate)
+        return FiniteModule(algebra, basis, coaction, name=doc.get("name", ""))
 
 
 def _coaction_from_generator_actions(
@@ -435,7 +431,6 @@ def dual_comodule_from_monomials(
     monomials: Iterable[tuple[int, ...]],
     name: str,
     left_kill: Optional[Profile] = None,
-    meta: Optional[dict] = None,
 ) -> FiniteModule:
     """Span of dual monomials with the coproduct-induced coaction.
 
@@ -445,9 +440,7 @@ def dual_comodule_from_monomials(
     """
     monos = sorted({normalize_monomial(m) for m in monomials}, key=monomial_sort_key)
     index = {m: i for i, m in enumerate(monos)}
-    basis = [
-        BasisElement(_label_for(m), monomial_degree(m), monomial_weight(m), key=m) for m in monos
-    ]
+    basis = [BasisElement(_label_for(m), monomial_degree(m), monomial_weight(m)) for m in monos]
     coaction: list[list[CoactionTerm]] = []
     for m in monos:
         terms: list[CoactionTerm] = []
@@ -464,7 +457,7 @@ def dual_comodule_from_monomials(
                 )
             terms.append((index[left], right))
         coaction.append(terms)
-    return FiniteModule(algebra, basis, coaction, name=name, meta=meta)
+    return FiniteModule(algebra, basis, coaction, name=name)
 
 
 def trivial(algebra: Profile = A2) -> FiniteModule:
@@ -472,22 +465,16 @@ def trivial(algebra: Profile = A2) -> FiniteModule:
 
 
 def suspend(M: FiniteModule, k: int) -> FiniteModule:
-    basis = [BasisElement(b.label, b.degree + k, b.weight, b.key) for b in M.basis]
-    return FiniteModule(
-        M.algebra,
-        basis,
-        M.coaction,
-        name=f"S^{k}({M.name})" if M.name else f"S^{k}",
-        meta={**M.meta, "suspension": M.meta.get("suspension", 0) + k},
-        validate=False,
-    )
+    basis = [BasisElement(b.label, b.degree + k, b.weight) for b in M.basis]
+    name = f"S^{k}({M.name})" if M.name else f"S^{k}"
+    return FiniteModule(M.algebra, basis, M.coaction, name=name, validate=False)
 
 
 def direct_sum(M: FiniteModule, N: FiniteModule) -> FiniteModule:
     if M.algebra != N.algebra:
         raise ComoduleError("algebra mismatch")
-    basis = [BasisElement(f"L.{b.label}", b.degree, b.weight, b.key) for b in M.basis] + [
-        BasisElement(f"R.{b.label}", b.degree, b.weight, b.key) for b in N.basis
+    basis = [BasisElement(f"L.{b.label}", b.degree, b.weight) for b in M.basis] + [
+        BasisElement(f"R.{b.label}", b.degree, b.weight) for b in N.basis
     ]
     off = M.dimension
     coaction = [list(terms) for terms in M.coaction] + [
@@ -508,9 +495,7 @@ def tensor(M: FiniteModule, N: FiniteModule) -> FiniteModule:
     for i, j in pairs:
         bi, bj = M.basis[i], N.basis[j]
         wt = None if bi.weight is None or bj.weight is None else bi.weight + bj.weight
-        basis.append(
-            BasisElement(f"{bi.label}|{bj.label}", bi.degree + bj.degree, wt, key=(bi.key, bj.key))
-        )
+        basis.append(BasisElement(f"{bi.label}|{bj.label}", bi.degree + bj.degree, wt))
     coaction: list[list[CoactionTerm]] = []
     for i, j in pairs:
         terms: dict[CoactionTerm, int] = {}
@@ -530,26 +515,17 @@ def tensor(M: FiniteModule, N: FiniteModule) -> FiniteModule:
 def dualize(M: FiniteModule) -> FiniteModule:
     """Linear dual, renormalized to start in degree 0.
 
-    The dual coaction twists by the antipode; the recorded shift is the top
+    The dual coaction twists by the antipode; the degree shift is the top
     degree of M, so dualizing twice restores the original degrees.
     """
     top = M.top_degree()
-    basis = [
-        BasisElement(f"d.{b.label}", top - b.degree, b.weight, key=("dual", b.key))
-        for b in M.basis
-    ]
+    basis = [BasisElement(f"d.{b.label}", top - b.degree, b.weight) for b in M.basis]
     coaction: list[list[CoactionTerm]] = [[] for _ in range(M.dimension)]
     for i, terms in enumerate(M.coaction):
         for j, gamma in terms:
             for chi in conjugate_dual_monomial(M.algebra, gamma):
                 coaction[j].append((i, chi))
-    return FiniteModule(
-        M.algebra,
-        basis,
-        coaction,
-        name=f"dual({M.name})",
-        meta={"dual_shift": top},
-    )
+    return FiniteModule(M.algebra, basis, coaction, name=f"dual({M.name})")
 
 
 def _filtered_monomials(
@@ -604,7 +580,7 @@ def bo(i: int, algebra: Profile = A2) -> FiniteModule:
         raise ValueError("index must be non-negative")
     steps = lambda m: 4 if m == 1 else (2 if m == 2 else 1)
     monos = _filtered_monomials(steps, 4 * i, None)
-    return dual_comodule_from_monomials(algebra, monos, name=f"bo{i}", meta={"weight_cap": 4 * i})
+    return dual_comodule_from_monomials(algebra, monos, name=f"bo{i}")
 
 
 def tmf_bg(j: int, algebra: Profile = A2) -> FiniteModule:
@@ -613,7 +589,7 @@ def tmf_bg(j: int, algebra: Profile = A2) -> FiniteModule:
         raise ValueError("index must be non-negative")
     steps = lambda m: {1: 8, 2: 4, 3: 2}.get(m, 1)
     monos = _filtered_monomials(steps, 8 * j, None)
-    return dual_comodule_from_monomials(algebra, monos, name=f"tmf{j}", meta={"weight_cap": 8 * j})
+    return dual_comodule_from_monomials(algebra, monos, name=f"tmf{j}")
 
 
 def quotient_hopf_module(big: Profile, small: Profile) -> FiniteModule:
@@ -643,12 +619,7 @@ def abar_truncation(max_degree: int, algebra: Profile = A2) -> FiniteModule:
         raise ValueError("cutoff below the first positive degree")
     steps = lambda m: {1: 8, 2: 4, 3: 2}.get(m, 1)
     monos = [m for m in _filtered_monomials(steps, None, max_degree) if m != ()]
-    return dual_comodule_from_monomials(
-        algebra,
-        monos,
-        name=f"abar<={max_degree}",
-        meta={"truncation_degree": max_degree},
-    )
+    return dual_comodule_from_monomials(algebra, monos, name=f"abar<={max_degree}")
 
 
 # ----- verification reports -----

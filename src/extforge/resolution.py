@@ -232,10 +232,9 @@ class FreeComplex:
                 acc ^= part << offs_out[i]
         return acc
 
-    def verify_d_squared(self, t_limit: Optional[int] = None) -> None:
-        limit = self.max_t if t_limit is None else t_limit
+    def verify_d_squared(self) -> None:
         for s in range(2, len(self.gens)):
-            for t in range(limit + 1):
+            for t in range(self.max_t + 1):
                 if self.free_dim(s, t) == 0:
                     continue
                 # in column form: the transpose of d_{s-1} d_s
@@ -789,10 +788,9 @@ class ChainMap:
     t0: int
     rows: dict[tuple[int, int], int]
 
-    def verify(self, levels: Optional[Iterable[int]] = None) -> None:
+    def verify(self) -> None:
         cplx = self.source
-        rng = levels if levels is not None else range(self.s0 + 1, len(cplx.gens))
-        for s in rng:
+        for s in range(self.s0 + 1, len(cplx.gens)):
             for i, g in enumerate(cplx.level_gens(s)):
                 lhs = 0
                 vec = self.rows.get((s, i))
@@ -1122,26 +1120,25 @@ def select_self_map(
     s0: int,
     t0: int,
     sphere_res: FreeResolution,
-    window_s: Optional[int] = None,
-    window_t: Optional[int] = None,
+    window_s: int,
+    window_t: int,
 ) -> SelfMapSelection:
     """Self-map candidates of X at (s0, t0), selected by bottom restriction.
 
     Candidates are cohomology classes of the Hom(X, X) bicomplex inside the
-    stated window; the canonical choice is the unique candidate whose
+    window of generators at levels <= window_s and internal degrees <=
+    window_t; the canonical choice is the unique candidate whose
     bottom-cell restriction equals the pullback of the nonzero class of the
     sphere chart at (s0, t0), which must be 1-dimensional there.  Ambiguity
     and misses are reported, never silently resolved.
     """
-    ws = window_s if window_s is not None else min(X.max_s, s0 + 6)
-    wt = window_t if window_t is not None else min(X.max_t, t0 + 32)
 
     def layout(k: int):
         entries = []
         total = 0
-        for s in range(max(k, 0), ws + 1):
+        for s in range(max(k, 0), window_s + 1):
             for i, g in enumerate(X.level_gens(s)):
-                if g.t > wt:
+                if g.t > window_t:
                     continue
                 size = X.free_dim(s - k, g.t - t0)
                 entries.append((s, i, total, size))
@@ -1238,8 +1235,8 @@ def select_self_map(
     return SelfMapSelection(
         s0,
         t0,
-        ws,
-        wt,
+        window_s,
+        window_t,
         local.dim,
         sol is not None,
         window_matching,

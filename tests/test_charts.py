@@ -121,7 +121,7 @@ def test_window_restricts_svg(sphere_chart):
 def test_window_starts_the_layout_at_its_first_stem(sphere_chart):
     style = charts.ChartStyle(stem_range=(8, 12))
     layout = charts.chart_layout(sphere_chart, style)
-    assert layout.width == 2 * style.margin + 4 * style.unit
+    assert layout.width == 2 * charts.MARGIN + 4 * charts.UNIT
 
 
 def test_render_text_grid(sphere_chart):

@@ -378,6 +378,28 @@ def test_cone_charts_match_the_deeper_resolutions(
         assert path.read_bytes() == (tmp_path / "deeper" / path.name).read_bytes(), path.name
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["bgpoly", "-1"], 2, "non-negative"),
+        (["bgpoly", "1,0"], 2, "positive"),
+        (["verify", "oracle", "--suite-max-s", "8"], 2, "--suite-max-s <= 7"),
+        (["verify", "oracle", "--suite-max-s", "-1"], 2, "0 <= --suite-max-s"),
+        (["ext", "h8", "--max-s", "0", "--max-t", "6", "--no-png"], 0, ""),
+        (["ext", "h8", "--max-t", "2", "--no-png"], 2, "--max-t >= 3"),
+    ],
+    ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
+         "h8-s0", "h8-t2"],
+)
+def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
+    """Each input either runs or is a usage error (exit 2, no traceback)."""
+    if argv[0] == "ext":
+        argv = argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
+    got, _, err = run(argv, capsys)
+    assert got == code
+    assert message in err and "Traceback" not in err
+
+
 def test_v18_selection_needs_its_window_resolved():
     with pytest.raises(cli.UsageError, match="through level 12"):
         cli._h8v18_cone(resolution.minimal_resolution(cli.algebra_profile("A2"), 11, 30))

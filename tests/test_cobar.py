@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extforge import cobar, milnor, modules
+from extforge import cobar, milnor, modules, resolution
 
 
 def test_dual_basis_counts():
@@ -205,6 +205,18 @@ def test_cotor_bo1_bottom_line():
     dims = cobar.cotor(milnor.A1, cobar.bo1_comodule(milnor.A1), max_s=0, max_stem=8)
     line0 = sorted(t for (s, t) in dims if s == 0)
     assert line0 == [0, 4]
+
+
+def test_cotor_matches_the_engine_on_bo1_tensor_square():
+    """The module bridge reads one comodule element per basis vector: bo1 (x) bo1
+    has 16 of them in 10 degrees."""
+    M = modules.tensor(modules.bo(1, milnor.A1), modules.bo(1, milnor.A1))
+    assert M.dimension == 16 and len(M.degrees()) == 10
+    dims = cobar.cotor(milnor.A1, M, max_s=5, max_stem=10)
+    res = resolution.minimal_resolution(milnor.A1, 6, 15)
+    chart = resolution.ext_over_complex(res, M, "m", with_reps=False)
+    engine = {(s, t): d for (s, t), d in chart.dims.items() if t - s <= 10 and d}
+    assert len(dims) == 24 and dims == engine
 
 
 def test_adem_straighten_examples():

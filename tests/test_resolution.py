@@ -304,22 +304,20 @@ def test_chart_json_roundtrip(res_a1_small):
 
 
 def _permute_module_in_degree(M: modules.FiniteModule, degree: int):
-    """Swap the first two basis vectors in one degree, remapping all tables."""
+    """Swap the labels of the first two basis vectors in one degree.
+
+    FiniteModule orders its basis by (degree, label), so the two vectors
+    trade places: every label keeps its position and the coaction is
+    rewritten in the permuted basis.  Swapping the vectors themselves would
+    be undone by that ordering and give back M.
+    """
     doc = M.to_json_dict()
-    idx = [i for i, (_, d, _) in enumerate(doc["basis"]) if d == degree]
-    assert len(idx) >= 2, "need a multi-dimensional degree to permute"
-    perm = list(range(len(doc["basis"])))
-    perm[idx[0]], perm[idx[1]] = perm[idx[1]], perm[idx[0]]
-    inv = {old: new for new, old in enumerate(perm)}
-    doc["basis"] = [doc["basis"][old] for old in perm]
-    doc["actions"] = {
-        sq: [sorted(inv[t] for t in rows[old]) for old in perm]
-        for sq, rows in doc["actions"].items()
-    }
-    doc["coaction"] = [
-        [[inv[tgt], mono] for tgt, mono in doc["coaction"][old]] for old in perm
-    ]
-    return modules.FiniteModule.from_json_dict(doc)
+    a, b = [i for i, (_, d, _) in enumerate(doc["basis"]) if d == degree][:2]
+    doc["basis"][a][0], doc["basis"][b][0] = doc["basis"][b][0], doc["basis"][a][0]
+    permuted = modules.FiniteModule.from_json_dict(doc)
+    assert permuted.basis == M.basis
+    assert permuted.coaction != M.coaction, "the permutation left the coaction unchanged"
+    return permuted
 
 
 def test_permuted_basis_gives_identical_chart(res_a2_small):
