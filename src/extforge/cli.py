@@ -352,8 +352,14 @@ def build_chart(
     """Resolve, build any cone object, and compute the requested chart."""
     from .resolution import ResolutionError, cone, ext_f2, ext_over_complex
 
+    # bounds the cone pipeline cannot use fail before a resolution is cached
     if plan.cell == "h8" and max_t < H8_CLASS[1]:
         raise UsageError(f"the cone on h0^3 needs --max-t >= {H8_CLASS[1]}, got {max_t}")
+    if plan.cell == "h8v18" and max_t < V18_WINDOW[1]:
+        raise UsageError(
+            f"selecting the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map needs "
+            f"--max-t >= {V18_WINDOW[1]}, got {max_t}"
+        )
     # a plain F2 chart counts generators and needs no coefficient module
     plain = plan.cell is None and all(f.atom == "f2" and not f.suspension for f in plan.factors)
     # any other module is built first, so one the algebra cannot carry
@@ -559,7 +565,7 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
             chart = (
                 ext_f2(res, install_products=())
                 if M is None
-                else ext_over_complex(res, M, coeff_name, with_reps=False)
+                else ext_over_complex(res, M, coeff_name)
             )
             engine = {
                 (s, t): d

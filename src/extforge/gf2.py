@@ -5,7 +5,8 @@ reduces to rank/kernel/solve computations over the two-element field.
 They all run on one elimination, :class:`IncrementalSpan`, which holds each
 vector as a Python int (bit c is coordinate c), so adding one vector to
 another is a single int XOR.  :class:`Solver` is that elimination run over
-the columns of a matrix.
+the columns of a matrix; :func:`rank` runs its reduction step untagged,
+since a rank needs no relations or solutions.
 
 The elimination works on columns.  For a matrix with ``rows`` rows, column
 j enters tagged with bit ``rows + j`` and is reduced by its lowest set bit:
@@ -159,9 +160,14 @@ def _reduce(pivots: dict[int, int], row: int) -> int:
 
 
 def rank(m: BitMatrix) -> int:
-    # m and its transpose have one rank, and m's rows are the transpose's
-    # columns, so m is eliminated as it is stored
-    return Solver(m).rank
+    # m and its transpose have one rank, so m's rows are eliminated as they
+    # are stored, untagged: the rank needs no relations, pivots or solutions
+    pivots: dict[int, int] = {}
+    for row in m.row_bits:
+        row = _reduce(pivots, row)
+        if row:
+            pivots[(row & -row).bit_length() - 1] = row
+    return len(pivots)
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:

@@ -22,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import gf2
 from .milnor import (
@@ -183,6 +183,7 @@ class FiniteModule:
         for idx, b in enumerate(self.basis):
             self._by_degree.setdefault(b.degree, ())
             self._by_degree[b.degree] += (idx,)
+        self._dims = {d: len(idx) for d, idx in self._by_degree.items()}
         self._act_cache: dict[tuple[tuple[int, ...], int], gf2.BitMatrix] = {}
         if validate:
             self.check_valid()
@@ -200,10 +201,16 @@ class FiniteModule:
         return self._by_degree.get(d, ())
 
     def dimension_in(self, d: int) -> int:
-        return len(self.basis_in_degree(d))
+        return self._dims.get(d, 0)
+
+    @property
+    def dims_by_degree(self) -> Mapping[int, int]:
+        """Dimension per nonzero degree: ``.get(d, 0)`` is ``dimension_in(d)``
+        without a call, for loops that look up many degrees."""
+        return self._dims
 
     def poincare(self) -> PoincareSeries:
-        return PoincareSeries.from_dict({d: len(v) for d, v in self._by_degree.items()})
+        return PoincareSeries.from_dict(self._dims)
 
     def top_degree(self) -> int:
         return max(self.degrees(), default=0)

@@ -366,7 +366,10 @@ class ExtChart:
     cells: tuple[Cell, ...] = ()
     products: dict[str, dict[tuple[int, int], gf2.BitMatrix]] = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
-    # runtime-only handles for product installation and class arithmetic
+    # runtime-only handles for product installation and class arithmetic;
+    # reps holds class representatives by spot: ext_over_complex builds them
+    # for multi-cell charts with provenance, and products build the rest on
+    # demand (_class_reps)
     source: Optional[FreeComplex] = field(default=None, repr=False, compare=False)
     module: Optional[FiniteModule] = field(default=None, repr=False, compare=False)
     reps: dict[tuple[int, int], "CohomologyLocal"] = field(
@@ -453,11 +456,12 @@ class CohomologyLocal:
 
 def _hom_layout(cplx: FreeComplex, M: FiniteModule, s: int, t: int):
     """Coordinate offsets of Hom^{s,t}: per-generator blocks of M at t - t_g."""
+    dim_of = M.dims_by_degree
     offsets = []
     total = 0
     for g in cplx.level_gens(s):
         offsets.append(total)
-        total += M.dimension_in(t - g.t)
+        total += dim_of.get(t - g.t, 0)
     return offsets, total
 
 
@@ -474,27 +478,35 @@ def _hom_delta(
     """
     if cache is None:
         cache = {}
+    dim_of = M.dims_by_degree
     src_off, src_total = _hom_layout(cplx, M, s, t)
+    targets = cplx.level_gens(s + 1)
+    if not src_total:
+        return gf2.BitMatrix(0, sum(dim_of.get(t - g.t, 0) for g in targets), ())
+    gens_s = cplx.gens[s]
+    diff = cplx.diff[s + 1] if targets else ()
+    m_id = id(M)
     cols = [0] * src_total
     r0 = 0  # first row of target generator g'
-    for gp, g in enumerate(cplx.level_gens(s + 1)):
-        n_rows = M.dimension_in(t - g.t)
+    for gp, g in enumerate(targets):
+        n_rows = dim_of.get(t - g.t)
         if not n_rows:
             continue
-        for h, a in cplx.diff[s + 1][gp]:
-            d_src = t - cplx.gens[s][h].t
-            if M.dimension_in(d_src) == 0:
+        for h, a in diff[gp]:
+            d_src = t - gens_s[h].t
+            n_cols = dim_of.get(d_src)
+            if not n_cols:
                 continue
             # keyed by module identity too: callers may share one cache
             # across charts with different coefficients
-            key = (id(M), a.terms, d_src)
+            key = (m_id, a.terms, d_src)
             act = cache.get(key)
             if act is None:
                 rows = [0] * n_rows
                 for mono in a.terms:
                     for r, row in enumerate(M.monomial_action_matrix(mono, d_src).row_bits):
                         rows[r] ^= row
-                act = cache[key] = gf2.BitMatrix(n_rows, M.dimension_in(d_src), rows).transpose().row_bits
+                act = cache[key] = gf2.BitMatrix(n_rows, n_cols, rows).transpose().row_bits
             for j, col in enumerate(act, src_off[h]):
                 cols[j] ^= col << r0
         r0 += n_rows
@@ -523,8 +535,6 @@ def _provenance_of_class(
     """Lowest carrying cell per representative, via the cell filtration;
     ``delta_cur`` is delta in column form."""
     n_cells = len(cplx.cells)
-    if n_cells == 1:
-        return tuple(0 for _ in range(local.dim))
     offsets, total = _hom_layout(cplx, M, s, t)
     blocks = [
         (g.cell, range(offsets[i], offsets[i] + M.dimension_in(t - g.t)))
@@ -561,7 +571,16 @@ def ext_over_complex(
     max_t: Optional[int] = None,
     with_reps: bool = True,
 ) -> ExtChart:
-    """Cohomology of Hom(cplx, M), with labels and cell provenance."""
+    """Cohomology of Hom(cplx, M), with labels and cell provenance.
+
+    Dimensions come from the ranks of the deltas.  A one-cell complex's
+    classes all come from its one cell, so its chart takes ranks only:
+    provenance is 0 everywhere and ``chart.reps`` is left empty, to be
+    filled on demand by the products that read it.  A multi-cell chart
+    with ``with_reps`` builds the class representatives at every nonzero
+    spot, since cell provenance reads them; without ``with_reps`` it takes
+    ranks only and has no provenance or cell labels.
+    """
     if M.algebra != cplx.algebra:
         raise ResolutionError("algebra mismatch between complex and coefficients")
     s_hi = min(cplx.max_s - 1, max_s if max_s is not None else cplx.max_s - 1)
@@ -576,33 +595,38 @@ def ext_over_complex(
         module=M,
     )
     multi_cell = len(cplx.cells) > 1
+    eager = multi_cell and with_reps
     cache: dict = {}
     for t in range(t_hi + 1):
         prev_delta: Optional[gf2.BitMatrix] = None  # in column form
         prev_rank = 0
         for s in range(s_hi + 1):
-            _, cur_total = _hom_layout(cplx, M, s, t)
+            delta = _hom_delta(cplx, M, s, t, cache)
+            cur_total = delta.rows
             if cur_total == 0:
                 prev_delta, prev_rank = None, 0
                 continue
-            delta = _hom_delta(cplx, M, s, t, cache)
-            solver = gf2.Solver(delta)
-            rank_cur = solver.rank
+            if eager:
+                solver = gf2.Solver(delta)
+                rank_cur = solver.rank
+            else:
+                rank_cur = gf2.rank(delta)
             dim = (cur_total - rank_cur) - prev_rank
             if dim:
                 chart.dims[(s, t)] = dim
                 stem = t - s
-                if with_reps:
+                if eager:
                     local = _canonical_reps(solver, prev_delta)
                     chart.reps[(s, t)] = local
                     prov = _provenance_of_class(cplx, M, s, t, delta, local)
                     chart.provenance[(s, t)] = prov
                     chart.labels[(s, t)] = tuple(
-                        f"x_{{{stem},{s}}}({i + 1})"
-                        + (f"[{cplx.cells[c].label}]" if multi_cell else "")
+                        f"x_{{{stem},{s}}}({i + 1})[{cplx.cells[c].label}]"
                         for i, c in enumerate(prov)
                     )
                 else:
+                    if not multi_cell:
+                        chart.provenance[(s, t)] = (0,) * dim
                     chart.labels[(s, t)] = tuple(
                         f"x_{{{stem},{s}}}({i + 1})" for i in range(dim)
                     )
@@ -725,17 +749,28 @@ def _product_matrix_at(
             vec = lifted.rows.get((s + s0, gi), 0)
             rows.append(sum(((vec >> offsets[hi]) & 1) << c for c, hi in enumerate(src_idx)))
         return gf2.BitMatrix(len(rows), len(src_idx), rows)
-    local = chart.reps.get((s, t))
-    tgt_local = chart.reps.get((s + s0, t + t0))
-    if local is None:
-        raise ResolutionError("products need charts computed with representatives")
-    if tdim == 0 or tgt_local is None:
+    if tdim == 0:
         return gf2.BitMatrix.zeros(0, dim)
+    local = _class_reps(chart, s, t)
+    tgt_local = _class_reps(chart, s + s0, t + t0)
     cols = [
         tgt_local.class_coords(_precompose(cplx, M, lifted, s, t, rep))
         for rep in local.rep_vectors
     ]
     return gf2.BitMatrix(len(cols), tdim, cols).transpose()
+
+
+def _class_reps(chart: ExtChart, s: int, t: int) -> CohomologyLocal:
+    """``chart.reps[(s, t)]``, built from the chart's complex and module and
+    kept there when ``ext_over_complex`` did not build it: the same data as
+    its eager path, from the deltas out of and into Hom^{s,t}."""
+    got = chart.reps.get((s, t))
+    if got is None:
+        cplx, M = chart.source, chart.module
+        prev = _hom_delta(cplx, M, s - 1, t) if s > 0 else None
+        got = _canonical_reps(gf2.Solver(_hom_delta(cplx, M, s, t)), prev)
+        chart.reps[(s, t)] = got
+    return got
 
 
 def _precompose(

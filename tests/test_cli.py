@@ -387,17 +387,39 @@ def test_cone_charts_match_the_deeper_resolutions(
         (["verify", "oracle", "--suite-max-s", "-1"], 2, "0 <= --suite-max-s"),
         (["ext", "h8", "--max-s", "0", "--max-t", "6", "--no-png"], 0, ""),
         (["ext", "h8", "--max-t", "2", "--no-png"], 2, "--max-t >= 3"),
+        (["ext", "h8v18", "--max-s", "3", "--max-t", "20", "--no-png"], 2, "--max-t >= 30"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
-         "h8-s0", "h8-t2"],
+         "h8-s0", "h8-t2", "h8v18-t20"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
-    """Each input either runs or is a usage error (exit 2, no traceback)."""
+    """Each input either runs or is a usage error (exit 2, no traceback)
+    raised before any resolution is cached."""
+    cache = tmp_path / "cache"
     if argv[0] == "ext":
-        argv = argv + ["--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)]
+        argv = argv + ["--cache-dir", str(cache), "--out", str(tmp_path)]
     got, _, err = run(argv, capsys)
     assert got == code
     assert message in err and "Traceback" not in err
+    if code == 2:
+        assert not cache.exists() or not os.listdir(cache)
+
+
+# sha256 of one-cell module charts as written before these charts took
+# ranks only and left their class representatives to be built on demand
+PINNED_MODULE_CHARTS = [
+    (["bo:1", "--format", "json"], "ext-bo-1-A2-s12-t42.json",
+     "22afc6fd44d7e7f42efe924ed62c48c1a18762fdce5c19d09f8ea0d1c4bcd2e8"),
+    (["bo:1 * bo:1", "--max-s", "8", "--max-stem", "20", "--no-png"], "ext-bo-1-bo-1-A2-s8-t28.tsv",
+     "880fd2b9be4812d3389dd862cb11c1474a268e057a1cca2d88da9be2c31c6cd3"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", PINNED_MODULE_CHARTS, ids=["bo1-json", "bo1-squared-tsv"])
+def test_module_chart_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
+    code, _, _ = run(["ext", *argv, "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_v18_selection_needs_its_window_resolved():

@@ -503,3 +503,71 @@ def test_hom_delta_matches_dense_assembly(res_a2_small, h8_small):
                     deltas.append(got)
                 for s in range(len(deltas) - 1):
                     assert gf2.multiply(deltas[s], deltas[s + 1]).is_zero(), (s, t)
+
+
+# ----- one-cell charts take ranks; representatives are built on demand -----
+
+
+@pytest.fixture(scope="module")
+def res_a2_10_30():
+    return R.minimal_resolution(milnor.A2, 10, 30)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("s0, t0", [(1, 1), (1, 2), (3, 3)])
+def test_module_cone_les(res_a2_10_30, i, s0, t0):
+    """The long exact sequence of a cone with bo(i) coefficients, whose
+    attaching action multiplies on a module chart."""
+    M = modules.bo(i)
+    base = R.ext_over_complex(res_a2_10_30, M, f"bo{i}")
+    theta = R.attaching_action(base, s0, t0)
+    assert any(not m.is_zero() for m in theta.values())
+    cone_chart = R.ext_over_complex(R.cone(res_a2_10_30, s0, t0), M, "cone")
+    report = R.les_consistency(base, cone_chart, theta, s0, t0)
+    assert report.ok, report.failures[:5]
+
+
+def _local_key(local):
+    return local.boundary_span.rows, local.rep_vectors
+
+
+def test_on_demand_reps_equal_the_eager_ones(res_a2_small):
+    bo1 = modules.bo(1)
+    chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24)
+    # the same complex with a second, empty cell takes the eager multi-cell path
+    twin = R.FreeComplex(
+        res_a2_small.algebra, res_a2_small.max_s, res_a2_small.max_t,
+        res_a2_small.cells + (R.Cell("99", 99, 0),), res_a2_small.gens, res_a2_small.diff,
+    )
+    eager = R.ext_over_complex(twin, bo1, "bo1", max_s=8, max_t=24)
+    assert eager.dims == chart.dims and set(eager.reps) == set(chart.dims)
+    assert chart.reps == {}
+    for spot in chart.dims:
+        assert _local_key(R._class_reps(chart, *spot)) == _local_key(eager.reps[spot]), spot
+    assert set(chart.reps) == set(chart.dims)
+
+
+def test_one_cell_charts_build_no_solver(res_a2_small, h8_small, monkeypatch):
+    built = []
+    real = gf2.Solver.__init__
+
+    def counting(self, columns):
+        built.append(columns.rows)
+        real(self, columns)
+
+    monkeypatch.setattr(gf2.Solver, "__init__", counting)
+    bo1 = modules.bo(1)
+    charts_by_reps = {
+        w: R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24, with_reps=w)
+        for w in (True, False)
+    }
+    assert built == []
+    chart = charts_by_reps[True]
+    assert chart.dims and chart.reps == {}
+    assert chart.provenance == {spot: (0,) * d for spot, d in chart.dims.items()}
+    assert chart.to_json_dict() == charts_by_reps[False].to_json_dict()
+    # a cone chart still builds representatives for its cell provenance
+    cone_chart = R.ext_over_complex(h8_small, bo1, "bo1", max_s=6, max_t=20)
+    assert built
+    assert set(cone_chart.provenance) == set(cone_chart.reps) == set(cone_chart.dims)
+    assert {c for prov in cone_chart.provenance.values() for c in prov} == {0, 1}
