@@ -262,11 +262,20 @@ def comodule_from_module(M) -> Comodule:
 class CobarComplex:
     """Reduced cobar complex C-bar^{(x)s} (x) N, degree-truncated.
 
-    Basis elements of Omega^{s,t} are tuples (w_1, ..., w_s, j): letter ids
-    into the positive-degree monomial basis of A(n)_* plus a comodule basis
-    index, with deg w_1 + ... + deg w_s + deg(n_j) = t.  Slices are streamed
-    rather than stored: the top tensor spaces run to six figures and only
-    ever pass through the sparse rank routine one column at a time.
+    A basis element [w_1 | ... | w_s] n_j of Omega^{s,t} (letter ids w_i
+    into the positive-degree monomial basis of A(n)_*, a comodule basis
+    index j, deg w_1 + ... + deg w_s + deg(n_j) = t) is coded as one int,
+    read from the top bit down:
+
+        1 | w_1 | ... | w_s | j
+
+    a sentinel 1 bit that fixes s, then letter_bits bits per letter, then
+    index_bits bits for j; decode() gives back the tuple (w_1, ..., w_s, j).
+    The tables apply_d reads are packed the same way: splits[w] holds the
+    splittings of letter w as left << letter_bits | right, and coaction[j]
+    the coaction terms of n_j as letter << index_bits | k.  Slices are
+    streamed rather than stored: the top tensor spaces run to six figures
+    and only ever pass through the sparse rank routine one column at a time.
     """
 
     def __init__(self, profile: Profile, comodule: Comodule, max_t: int):
@@ -276,21 +285,24 @@ class CobarComplex:
         letters = [m for m in dual_basis(profile, max_t) if monomial_degree(m) > 0]
         self.letters = letters
         self.letter_degree = [monomial_degree(m) for m in letters]
+        self.letter_bits = b = max(1, (len(letters) - 1).bit_length())
+        self.index_bits = c = (comodule.dimension - 1).bit_length()
         index = {m: i for i, m in enumerate(letters)}
-        # splittings of each letter, as id pairs
-        self.splits: list[tuple[tuple[int, int], ...]] = []
+        # splittings of each letter, as packed id pairs
+        self.splits: list[tuple[int, ...]] = []
         for m in letters:
             pairs = []
             for left, right in reduced_coproduct(profile, m):
                 if left in index and right in index:
-                    pairs.append((index[left], index[right]))
+                    pairs.append(index[left] << b | index[right])
             self.splits.append(tuple(pairs))
-        # comodule coaction in letter ids (terms beyond max_t cannot occur
-        # inside a degree-bounded slice, so dropping them is safe)
-        self.coaction: list[tuple[tuple[int, int], ...]] = []
+        # comodule coaction as packed (letter id, index) pairs (terms beyond
+        # max_t cannot occur inside a degree-bounded slice, so dropping them
+        # is safe)
+        self.coaction: list[tuple[int, ...]] = []
         for row in comodule.coaction:
             self.coaction.append(
-                tuple((index[mono], k) for mono, k in row if mono in index)
+                tuple(index[mono] << c | k for mono, k in row if mono in index)
             )
         self._count: dict[tuple[int, int], int] = {}
         self._words: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
@@ -298,6 +310,16 @@ class CobarComplex:
         self._by_degree: dict[int, tuple[int, ...]] = {}
         for lid, d in enumerate(self.letter_degree):
             self._by_degree[d] = self._by_degree.get(d, ()) + (lid,)
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        """The tuple (w_1, ..., w_s, j) of a coded basis element."""
+        b, c = self.letter_bits, self.index_bits
+        out = [code & ((1 << c) - 1)]
+        code >>= c
+        while code > 1:
+            out.append(code & ((1 << b) - 1))
+            code >>= b
+        return tuple(reversed(out))
 
     def dimension(self, s: int, t: int) -> int:
         if t < 0 or s < 0:
@@ -328,61 +350,103 @@ class CobarComplex:
         return self._words[key]
 
     def elements(self, s: int, t: int):
-        """Yield the basis of Omega^{s,t} in deterministic order.
+        """Yield the codes of the basis of Omega^{s,t} in deterministic order.
 
         The order is by comodule index, then letter-degree sequence, then
-        letter ids; each degree sequence expands as one product over the
-        per-degree letter tables.
+        letter ids, first letter slowest; each degree sequence expands as
+        one product over the per-degree letter tables.  The fields of a code
+        do not overlap, so a code is the sum of its sentinel-and-index part
+        and its letter ids shifted into place.
         """
+        b, c = self.letter_bits, self.index_bits
+        # placed[i][e]: the letter ids of degree e, shifted to position i
+        placed = [
+            {
+                e: tuple(lid << (c + (s - 1 - i) * b) for lid in lids)
+                for e, lids in self._by_degree.items()
+                if e <= t
+            }
+            for i in range(s)
+        ]
         for j, d in enumerate(self.comodule.degrees):
+            top = (1 << (s * b + c) | j,)
             for degrees in self._degree_words(s, t - d):
-                yield from itertools.product(*(self._by_degree[e] for e in degrees), (j,))
+                yield from map(sum, itertools.product(top, *map(dict.__getitem__, placed, degrees)))
 
-    def apply_d(self, elem: tuple) -> tuple[tuple, ...]:
+    def apply_d(self, code: int) -> list[int]:
         """Image terms of one basis element, each exactly once.
 
-        No term can repeat, so none needs parity reduction.  A split at
-        position p keeps positions 0..p-1 and puts at p a letter of strictly
-        lower degree than elem[p]; so terms from different split positions
-        differ at the smaller position, and the coaction terms, which keep
-        every letter of elem, differ from all split terms.  The pairs of one
-        letter's splits, and those of one coaction row, are distinct because
-        psi and the coaction tables are parity-reduced when built.
+        Terms come position by position, first letter first, each letter's
+        splittings in table order, then the coaction terms.  No term can
+        repeat, so none needs parity reduction.  A split at position p keeps
+        positions 0..p-1 and puts at p a letter of strictly lower degree than
+        w_p; so terms from different split positions differ at the smaller
+        position, and the coaction terms, which keep every letter, differ
+        from all split terms.  The pairs of one letter's splits, and those of
+        one coaction row, are distinct because psi and the coaction tables
+        are parity-reduced when built.
         """
-        words = elem[:-1]
-        out: list[tuple] = []
-        for pos in range(len(words)):
-            head = elem[:pos]
-            tail = elem[pos + 1 :]
-            for pair in self.splits[elem[pos]]:
-                out.append(head + pair + tail)
-        for pair in self.coaction[elem[-1]]:
-            out.append(words + pair)
-        return tuple(out)
+        b, c = self.letter_bits, self.index_bits
+        splits = self.splits
+        mask = (1 << b) - 1
+        out: list[int] = []
+        append = out.append
+        # shift = number of bits below the letter at the current position
+        shift = code.bit_length() - 1 - b
+        while shift >= c:
+            pairs = splits[code >> shift & mask]
+            if pairs:
+                base = (code >> (shift + b)) << (shift + 2 * b) | (code & ((1 << shift) - 1))
+                for pair in pairs:
+                    append(base | pair << shift)
+            shift -= b
+        pairs = self.coaction[code & ((1 << c) - 1)]
+        if pairs:
+            base = (code >> c) << (b + c)
+            for pair in pairs:
+                append(base | pair)
+        return out
 
-    def verify_d_squared(self, s: int, t: int) -> None:
-        """Check d(d(x)) = 0 for every basis element of Omega^{s,t}.
+    def verify_d_squared(
+        self, s: int, t: int, images: Optional[dict[int, list[int]]] = None
+    ) -> dict[int, list[int]]:
+        """Check d(d(x)) = 0 for every basis element x of Omega^{s,t}.
 
-        Each term y of Omega^{s+1,t} met in some d(x) is differentiated
-        once: d(y) is kept as an int mask whose bits label the terms of
-        Omega^{s+2,t}, interned in order of first appearance.  d(d(x)) is
-        then the XOR of the masks of the terms of d(x).  The memo lives only
-        for this call.
+        images maps elements of Omega^{s,t} to their d, as returned by the
+        call on slice s - 1; the d(x) computed here are added to it, so a
+        caller that ranks slice s next can take them from there.  Each term
+        y of Omega^{s+1,t} met in some d(x) is differentiated once, and the
+        dict of those d(y) is returned for the same use on slice s + 1.
+        d(d(x)) is the parity-reduced concatenation of the d(y), which is
+        zero exactly when _cancels holds for it.
         """
-        labels: dict[tuple, int] = {}
-        images: dict[tuple, int] = {}
-        for elem in self.elements(s, t):
-            acc = 0
-            for term in self.apply_d(elem):
-                mask = images.get(term)
-                if mask is None:
-                    mask = 0
-                    for term2 in self.apply_d(term):
-                        mask ^= 1 << labels.setdefault(term2, len(labels))
-                    images[term] = mask
-                acc ^= mask
-            if acc:
-                raise AssertionError(f"d^2 != 0 on {elem} at (s,t)=({s},{t})")
+        if images is None:
+            images = {}
+        apply_d = self.apply_d
+        after: dict[int, list[int]] = {}
+        for x in self.elements(s, t):
+            dx = images.get(x)
+            if dx is None:
+                dx = images[x] = apply_d(x)
+            acc: list[int] = []
+            for y in dx:
+                dy = after.get(y)
+                if dy is None:
+                    dy = after[y] = apply_d(y)
+                acc += dy
+            if not _cancels(acc):
+                raise AssertionError(f"d^2 != 0 on {self.decode(x)} at (s,t)=({s},{t})")
+        return after
+
+
+def _cancels(codes: list[int]) -> bool:
+    """True when every code occurs an even number of times; sorts codes.
+
+    After sorting, equal codes are adjacent, so every count is even exactly
+    when the list pairs off: the even and odd positions agree.
+    """
+    codes.sort()
+    return codes[0::2] == codes[1::2]
 
 
 _D2_CHECK_CAP = 3000
@@ -401,15 +465,16 @@ def cotor(
     an engine FiniteModule (converted through the duality bridge).  Only
     nonzero dimensions appear in the result.
 
-    With check_d_squared on, every basis element in slices of up to
-    _D2_CHECK_CAP elements gets an exhaustive d^2 = 0 check; that covers all
-    of the A(1) range and the low-degree A(2) range, and
+    With check_d_squared on, every basis element in the slices (s,t) with
+    s >= s_lo - 1 (s_lo being the lowest reported filtration at t) of up
+    to _D2_CHECK_CAP elements gets an exhaustive d^2 = 0 check; that covers
+    all of the A(1) range and the low-degree A(2) range, and
     CobarComplex.verify_d_squared can audit any specific slice on demand.
-    The check differentiates each term of the slice above once and keeps
-    its image as a bit mask only while that slice is checked: holding the
-    images on for the rank pass would cost more memory than it saves time.
-    Every computed dimension is also asserted non-negative, which a broken
-    differential or rank bookkeeping would quickly violate.
+    Each basis element is differentiated at most once per t: the check
+    hands the images it computes, of slice s and of the terms it meets in
+    slice s + 1, to the rank passes of those slices.  Every computed
+    dimension is also asserted non-negative, which a broken differential
+    or rank bookkeeping would quickly violate.
     """
     if max_s > MAX_S or max_stem > MAX_STEM:
         raise CobarBudgetError(
@@ -431,6 +496,13 @@ def cotor(
     # internal degree can matter, whatever the coefficients
     max_t = max_stem + max_s
     cx = CobarComplex(algebra, N, max_t)
+
+    def columns(s, t, images, cleared):
+        for x in cx.elements(s, t):
+            if x not in cleared:
+                dx = images.pop(x, None)
+                yield cx.apply_d(x) if dx is None else dx
+
     dims: dict[tuple[int, int], int] = {}
     for t in range(0, max_t + 1):
         s_lo = max(0, t - max_stem)
@@ -438,21 +510,25 @@ def cotor(
         # clearing (Chen & Kerber, "Persistent homology computation with a
         # twist"): the image of d_{s-1} projects isomorphically onto its
         # pivot rows, so because d_s d_{s-1} = 0 those basis elements of
-        # Omega^{s,t} can be swapped for cocycles and left out of d_s
-        cleared: set = set()
-        for s in range(max(0, s_lo - 1), max_s + 1):
-            if cx.dimension(s, t) == 0:
+        # Omega^{s,t} can be swapped for cocycles and left out of d_s.  The
+        # loop starts at s = 0, below the reported range, so that no level
+        # is ranked uncleared: reducing its cocycles to zero is the
+        # expensive part of an elimination.
+        cleared: set[int] = set()
+        # d of the elements of slice s that the check of slice s - 1 met
+        images: dict[int, list[int]] = {}
+        for s in range(0, max_s + 1):
+            n_here = cx.dimension(s, t)
+            if n_here == 0:
                 ranks[s] = 0
-                cleared = set()
+                cleared, images = set(), {}
                 continue
-            if check_d_squared and cx.dimension(s, t) <= _D2_CHECK_CAP:
-                cx.verify_d_squared(s, t)
-            pivots: set = set()
-            ranks[s] = gf2.sparse_rank(
-                (cx.apply_d(elem) for elem in cx.elements(s, t) if elem not in cleared),
-                pivots,
-            )
-            cleared = pivots
+            after: dict[int, list[int]] = {}
+            if check_d_squared and s >= s_lo - 1 and n_here <= _D2_CHECK_CAP:
+                after = cx.verify_d_squared(s, t, images)
+            pivots: set[int] = set()
+            ranks[s] = gf2.sparse_rank(columns(s, t, images, cleared), pivots)
+            cleared, images = pivots, after
         for s in range(s_lo, max_s + 1):
             n_here = cx.dimension(s, t)
             rank_in = ranks.get(s - 1, 0)

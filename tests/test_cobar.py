@@ -1,5 +1,7 @@
 """Reduced-cobar oracle: coalgebra identities, Cotor examples, Adem pairing."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,27 +82,29 @@ COEFFICIENTS = {"trivial": cobar.trivial_comodule, "bo1": cobar.bo1_comodule}
 
 
 def _reference_apply_d(cx, elem):
-    # the differential with every term parity-reduced through a dict, in the
-    # order the terms are generated
+    # the differential on element tuples (w_1, ..., w_s, j), with every term
+    # parity-reduced through a dict, in the order the terms are generated;
+    # it unpacks the complex's own split and coaction tables, so a broken
+    # table breaks both routes alike
     words = elem[:-1]
     acc: dict = {}
     for pos in range(len(words)):
         head = elem[:pos]
         tail = elem[pos + 1 :]
         for pair in cx.splits[elem[pos]]:
-            b = head + pair + tail
+            b = head + divmod(pair, 1 << cx.letter_bits) + tail
             acc[b] = acc.get(b, 0) ^ 1
     for pair in cx.coaction[elem[-1]]:
-        b = words + pair
+        b = words + divmod(pair, 1 << cx.index_bits)
         acc[b] = acc.get(b, 0) ^ 1
     return tuple(b for b, bit in acc.items() if bit)
 
 
 def _reference_d_squared_nonzero(cx, s, t):
     # d(d(x)) by brute force, one element at a time
-    for elem in cx.elements(s, t):
+    for code in cx.elements(s, t):
         acc: dict = {}
-        for term in _reference_apply_d(cx, elem):
+        for term in _reference_apply_d(cx, cx.decode(code)):
             for term2 in _reference_apply_d(cx, term):
                 acc[term2] = acc.get(term2, 0) ^ 1
         if any(acc.values()):
@@ -116,10 +120,37 @@ def test_apply_d_matches_parity_reduced_reference(algebra, coeff):
     checked = 0
     for s in range(0, 5):
         for t in range(0, 13):
-            for elem in cx.elements(s, t):
-                assert cx.apply_d(elem) == _reference_apply_d(cx, elem)
+            for code in cx.elements(s, t):
+                image = tuple(cx.decode(term) for term in cx.apply_d(code))
+                assert image == _reference_apply_d(cx, cx.decode(code))
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("algebra", [milnor.A1, milnor.A2], ids=["A1", "A2"])
+def test_elements_decode_to_the_slice_basis_in_order(algebra, coeff):
+    """Codes decode to distinct elements of the right degree, ordered by
+    comodule index, then letter-degree sequence, then letter ids."""
+    cx = cobar.CobarComplex(algebra, COEFFICIENTS[coeff](algebra), max_t=12)
+    degree = cx.letter_degree
+    for s in range(0, 5):
+        for t in range(0, 13):
+            elems = [cx.decode(code) for code in cx.elements(s, t)]
+            assert len(set(elems)) == len(elems) == cx.dimension(s, t)
+            for e in elems:
+                assert len(e) == s + 1
+                assert sum(degree[w] for w in e[:-1]) + cx.comodule.degrees[e[-1]] == t
+            order = sorted(elems, key=lambda e: (e[-1], [degree[w] for w in e[:-1]], e[:-1]))
+            assert elems == order
+
+
+def test_parity_rule_pairs_off_sorted_codes():
+    """d(d(x)) vanishes exactly when every code occurs an even number of times."""
+    for odd in ([5, 5, 5], [3, 9], [7, 7, 2], [4]):
+        assert not cobar._cancels(list(odd))
+    for even in ([9, 2, 2, 9], [6, 6, 6, 6], [], [1 << 40, 3, 3, 1 << 40]):
+        assert cobar._cancels(list(even))
 
 
 def test_d_squared_vanishes_on_small_slices():
@@ -159,6 +190,22 @@ def test_d_squared_check_catches_a_broken_differential(monkeypatch):
         cobar.cotor(milnor.A1, max_s=2, max_stem=4, check_d_squared=True)
 
 
+def test_d_squared_check_catches_a_broken_coaction():
+    # drop xibar_2 (x) n_1 from the coaction of n_3 = xibar_3 in bo1, so
+    # that the coaction is no longer coassociative
+    bo1 = cobar.bo1_comodule(milnor.A1)
+    rows = list(bo1.coaction)
+    rows[3] = tuple(term for term in rows[3] if term != ((0, 1), 1))
+    assert len(rows[3]) == len(bo1.coaction[3]) - 1
+    broken = dataclasses.replace(bo1, coaction=tuple(rows))
+    cx = cobar.CobarComplex(milnor.A1, broken, max_t=10)
+    assert _reference_d_squared_nonzero(cx, 0, 7)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0 on \(3,\) at \(s,t\)=\(0,7\)"):
+        cx.verify_d_squared(0, 7)
+    with pytest.raises(AssertionError, match=r"d\^2 != 0"):
+        cobar.cotor(milnor.A1, broken, max_s=2, max_stem=8, check_d_squared=True)
+
+
 @pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
 @pytest.mark.parametrize("algebra", [milnor.A1, milnor.A2], ids=["A1", "A2"])
 def test_d_squared_check_leaves_dims_unchanged(algebra, coeff):
@@ -167,6 +214,65 @@ def test_d_squared_check_leaves_dims_unchanged(algebra, coeff):
     unchecked = cobar.cotor(algebra, comodule, max_s=5, max_stem=8, check_d_squared=False)
     assert checked == unchecked
     assert checked
+
+
+# the slices whose d^2 the oracle checks at (max_s, max_stem) = (5, 8),
+# recorded while each t's loop still started at s_lo - 1, which starting
+# from s = 0 must not move: for t = 0..13 the first s checked, each t being
+# checked up to s = min(t, 5)
+_D2_FIRST_S = {
+    ("A1", "trivial"): (0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 4),
+    ("A1", "bo1"): (0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 2, 3, 4),
+    ("A2", "trivial"): (0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 4),
+    ("A2", "bo1"): (0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 2, 3, 4),
+}
+
+
+def test_d_squared_coverage_and_clearing_at_the_suite_bounds(monkeypatch):
+    """Each element is differentiated at most once, clearing from level 0
+    keeps the d^2 check on the same slices in the same order, and almost no
+    column is left to reduce to zero."""
+    checked: list = []
+    check = cobar.CobarComplex.verify_d_squared
+
+    def recorded_check(self, s, t, *args):
+        checked.append((s, t))
+        return check(self, s, t, *args)
+
+    zero_columns = 0
+    rank = cobar.gf2.sparse_rank
+
+    def counted_rank(columns, pivot_rows=None):
+        nonlocal zero_columns
+        columns = list(columns)
+        r = rank(columns, pivot_rows)
+        zero_columns += len(columns) - r
+        return r
+
+    differentiated: list = []
+    apply_d = cobar.CobarComplex.apply_d
+
+    def recorded_apply_d(self, code):
+        differentiated.append(code)
+        return apply_d(self, code)
+
+    monkeypatch.setattr(cobar.CobarComplex, "verify_d_squared", recorded_check)
+    monkeypatch.setattr(cobar.CobarComplex, "apply_d", recorded_apply_d)
+    monkeypatch.setattr(cobar.gf2, "sparse_rank", counted_rank)
+    expected = []
+    for alg_name, algebra in (("A1", milnor.A1), ("A2", milnor.A2)):
+        for coeff in ("trivial", "bo1"):
+            differentiated.clear()
+            cobar.cotor(algebra, COEFFICIENTS[coeff](algebra), max_s=5, max_stem=8)
+            # a code names one element of one slice, so no element was
+            # differentiated twice
+            assert len(set(differentiated)) == len(differentiated)
+            first = _D2_FIRST_S[(alg_name, coeff)]
+            expected += [(s, t) for t in range(14) for s in range(first[t], min(t, 5) + 1)]
+    assert len(expected) == 202
+    assert checked == expected
+    # 1,345 while each t started uncleared at s_lo - 1
+    assert zero_columns <= 100
 
 
 def test_cotor_line_one_a2():
