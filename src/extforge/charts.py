@@ -1,4 +1,4 @@
-"""Chart renderers: plain-text grids, TSV tables, deterministic SVG and PNG.
+"""Chart renderers: TSV tables, deterministic SVG and PNG.
 
 A chart is anything with ``dims`` (bidegree -> dimension), optional
 ``labels`` (bidegree -> class names) and optional ``products`` (name ->
@@ -115,30 +115,6 @@ def parse_tsv(text: str) -> TsvChart:
         if parts[3]:
             out.labels[key] = tuple(parts[3].split(";"))
     return out
-
-
-def render_text(chart, max_stem: Optional[int] = None) -> str:
-    """ASCII grid, filtration upward, one digit per bidegree ('+' past 9)."""
-    if not chart.dims:
-        return "(empty chart)\n"
-    stems = [t - s for (s, t) in chart.dims]
-    hi_stem = min(max(stems), max_stem) if max_stem is not None else max(stems)
-    hi_filt = max(s for (s, t) in chart.dims)
-    lo_stem = min(0, min(stems))
-    grid = {(t - s, s): d for (s, t), d in chart.dims.items()}
-    lines = []
-    for s in range(hi_filt, -1, -1):
-        row = [f"{s:3d} |"]
-        for stem in range(lo_stem, hi_stem + 1):
-            d = grid.get((stem, s), 0)
-            row.append("." if d == 0 else (str(d) if d < 10 else "+"))
-        lines.append(" ".join(row))
-    axis = ["    +" + "-" * (2 * (hi_stem - lo_stem + 1))]
-    tick = ["     "]
-    for stem in range(lo_stem, hi_stem + 1):
-        tick.append(f"{stem:2d}"[-2:] if stem % 5 == 0 else "  ")
-    lines.extend(axis + ["".join(tick)])
-    return "\n".join(lines) + "\n"
 
 
 _SVG_STYLE = (

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -87,7 +88,6 @@ def _gzip_bytes(text: str) -> bytes:
 def write_cache_entry(cache_dir: Path, key: str, payload_doc: dict) -> Path:
     """Store one gzip payload; a rename from a per-writer temp file makes it atomic."""
     import json
-    import threading
 
     payload = _gzip_bytes(json.dumps(payload_doc, sort_keys=True, separators=(",", ":")))
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -289,9 +289,9 @@ V18_CLASS = (8, 24)  # v1^8 on the cone
 V18_WINDOW = (V18_CLASS[0] + 3, V18_CLASS[1] + 6)
 
 
-def _h8v18_cone(res: FreeResolution) -> tuple[SelfMapSelection, Optional[FreeComplex]]:
-    """Select the v1^8 self-map on the cone on h0^3 over ``res``; returns the
-    selection and the cone on it, or None in place of the cone when the
+def _h8v18_cone(res: FreeResolution, X: FreeComplex) -> tuple[SelfMapSelection, Optional[FreeComplex]]:
+    """Select the v1^8 self-map on X, the cone on h0^3 over ``res``; returns
+    the selection and the cone on it, or None in place of the cone when the
     selection is not unique."""
     from .resolution import cone, select_self_map
 
@@ -308,7 +308,6 @@ def _h8v18_cone(res: FreeResolution) -> tuple[SelfMapSelection, Optional[FreeCom
             f"bounds too small to select the ({V18_CLASS[0]},{V18_CLASS[1]}) self-map; "
             f"need --max-t >= {wt}"
         )
-    X = cone(res, *H8_CLASS)
     sel = select_self_map(X, *V18_CLASS, res, window_s=ws, window_t=wt)
     return sel, (cone(X, *V18_CLASS, sel.attach_coords) if sel.unique else None)
 
@@ -373,10 +372,9 @@ def build_chart(
         return ext_f2(res), selections
     if plan.cell is None:
         return ext_over_complex(res, M, M.name or "module", max_s=max_s, max_t=max_t), selections
-    if plan.cell == "h8":
-        X = cone(res, *H8_CLASS)
-    else:
-        sel, X = _h8v18_cone(res)
+    X = cone(res, *H8_CLASS)
+    if plan.cell == "h8v18":
+        sel, X = _h8v18_cone(res, X)
         if X is None:
             raise ResolutionError(f"self-map selection not canonical: {sel.note}")
         selections["h8v18"] = list(sel.attach_coords)
@@ -638,16 +636,31 @@ def _fallback_window_spots() -> dict[str, tuple[int, int, int]]:
     return spots
 
 
+LES_MAX_S, LES_MAX_T = 12, 44  # the les chart; the vanishing windows reach t = 48
+_H8_CONE_LOCK = threading.Lock()
+
+
+def _h8_cone_over_a2(args: argparse.Namespace) -> tuple[FreeResolution, FreeComplex]:
+    """The A(2) resolution and its cone on h0^3, which the les and
+    vanishing-windows suites share: built once per verify run."""
+    from .resolution import cone
+
+    with _H8_CONE_LOCK:  # verify --jobs runs the suites in threads
+        if not hasattr(args, "h8_cone"):
+            windows_s = max(s for _, s, _ in _fallback_window_spots().values())
+            depth = max(_resolution_depth("h8", LES_MAX_S), _resolution_depth("h8v18", windows_s))
+            cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+            res, _ = resolve_cached("A2", depth, 48, cache_dir, force=args.force, log=_say)
+            args.h8_cone = res, cone(res, *H8_CLASS)
+        return args.h8_cone
+
+
 def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     """Low-stem d1-target windows on the v1^8 cone must be zero groups."""
     from . import modules
     from .resolution import ext_dim_at
 
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    max_s = max(s for _, s, _ in _fallback_window_spots().values())
-    depth = _resolution_depth("h8v18", max_s)
-    res, _ = resolve_cached("A2", depth, 48, cache_dir, force=args.force, log=_say)
-    sel, H8V = _h8v18_cone(res)
+    sel, H8V = _h8v18_cone(*_h8_cone_over_a2(args))
     items: list[VerifyItem] = [
         (
             "vanishing-windows.selection",
@@ -686,15 +699,11 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
 
 def _suite_les(args: argparse.Namespace) -> list[VerifyItem]:
     from . import modules
-    from .resolution import attaching_action, cone, ext_f2, ext_over_complex, les_consistency
+    from .resolution import attaching_action, ext_f2, ext_over_complex, les_consistency
 
-    max_s = 12
-    cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    depth = _resolution_depth("h8", max_s)
-    res, _ = resolve_cached("A2", depth, 44, cache_dir, force=args.force, log=_say)
+    res, X = _h8_cone_over_a2(args)
     sphere = ext_f2(res, install_products=())
-    X = cone(res, *H8_CLASS)
-    chart = ext_over_complex(X, modules.trivial(algebra_profile("A2")), "F2", max_s=max_s)
+    chart = ext_over_complex(X, modules.trivial(algebra_profile("A2")), "F2", LES_MAX_S, LES_MAX_T)
     theta = attaching_action(sphere, *H8_CLASS)
     report = les_consistency(sphere, chart, theta, *H8_CLASS)
     return [

@@ -123,11 +123,6 @@ class BitMatrix:
                 row ^= low
         return BitMatrix(self.cols, self.rows, out)
 
-    def xor(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return BitMatrix(self.rows, self.cols, [a ^ b for a, b in zip(self.row_bits, other.row_bits)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -207,10 +202,10 @@ def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -> int:
     """Rank over GF(2) of a matrix given as column supports.
 
-    Row labels may be any hashable values; columns never need a row count
-    up front, which lets callers hash image vectors on the fly.  Each
-    column is reduced as it arrives, persistence style: while its lowest
-    row (the row that first appeared latest in the stream) is already the
+    Row labels may be any hashable, mutually orderable values (ints, or
+    tuples of them); columns never need a row count up front, which lets
+    callers hash image vectors on the fly.  Each column is reduced as it
+    arrives, persistence style: while its largest row label is already the
     pivot of an earlier column, that column is added in.  On the
     near-triangular sparse matrices the cobar oracle produces this needs
     few column additions (dense elimination is hopeless at those sizes).
@@ -222,12 +217,10 @@ def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -
     projects isomorphically onto them, which is what the cobar oracle's
     clearing relies on.
     """
-    intern: dict = {}
-    pivot_col: dict[int, set[int]] = {}
+    pivot_col: dict = {}
     for support in columns:
-        col: set[int] = set()
-        for key in support:
-            r = intern.setdefault(key, len(intern))
+        col: set = set()
+        for r in support:
             if r in col:
                 col.remove(r)
             else:
@@ -240,8 +233,7 @@ def sparse_rank(columns: Iterable[Iterable], pivot_rows: Optional[set] = None) -
                 break
             col ^= pivot
     if pivot_rows is not None:
-        labels = list(intern)
-        pivot_rows.update(labels[r] for r in pivot_col)
+        pivot_rows.update(pivot_col)
     return len(pivot_col)
 
 

@@ -36,7 +36,6 @@ from .milnor import (
     monomial_sort_key,
     monomial_weight,
     normalize_monomial,
-    product_mask,
     psi_dual_monomial,
 )
 
@@ -290,13 +289,10 @@ class FiniteModule:
 
     # ----- action -----
 
-    def _act_monomial_on_index(self, mono: tuple[int, ...], i: int) -> set[int]:
-        return {tgt for tgt, gamma in self.coaction[i] if gamma == mono}
-
     def _act_element_on_index(self, a: MilnorElement, i: int) -> set[int]:
         acc: set[int] = set()
         for mono in a.terms:
-            acc.symmetric_difference_update(self._act_monomial_on_index(mono, i))
+            acc.symmetric_difference_update({tgt for tgt, gamma in self.coaction[i] if gamma == mono})
         return acc
 
     def action_matrix(self, a: MilnorElement, source_degree: int) -> gf2.BitMatrix:
@@ -327,30 +323,15 @@ class FiniteModule:
             self._act_cache[key] = cached
         return cached
 
-    def generator_action_matrix(self, k: int) -> gf2.BitMatrix:
-        """Whole-module matrix for Sq(2^k): entry (i, j) set when basis j
-        appears in Sq(2^k) acting on basis i."""
-        mono = normalize_monomial((1 << k,))
-        rows = [sum(1 << j for j in self._act_monomial_on_index(mono, i)) for i in range(self.dimension)]
-        return gf2.BitMatrix(self.dimension, self.dimension, rows)
-
     # ----- serialization -----
 
     def to_json_dict(self) -> dict:
-        gens = {}
-        if not self.algebra.is_full:
-            for k in range(len(self.algebra.exponents or ())):
-                mat = self.generator_action_matrix(k)
-                gens[f"Sq{1 << k}"] = [list(mat.row_support(r)) for r in range(mat.rows)]
         return {
             "format_version": FORMAT_VERSION,
             "algebra": list(self.algebra.exponents or []),
             "name": self.name,
             "basis": [[b.label, b.degree, b.weight] for b in self.basis],
-            "actions": gens,
-            "coaction": [
-                [[tgt, list(mono)] for tgt, mono in terms] for terms in self.coaction
-            ],
+            "coaction": [[[tgt, list(mono)] for tgt, mono in terms] for terms in self.coaction],
         }
 
     @staticmethod
@@ -359,69 +340,10 @@ class FiniteModule:
             raise ComoduleError(f"unsupported module format {doc.get('format_version')}")
         algebra = Profile(tuple(doc["algebra"]))
         basis = [BasisElement(lbl, deg, wt) for lbl, deg, wt in doc["basis"]]
-        if "coaction" in doc:
-            coaction = [
-                [(tgt, tuple(mono)) for tgt, mono in terms] for terms in doc["coaction"]
-            ]
-        else:
-            coaction = _coaction_from_generator_actions(algebra, basis, doc["actions"])
+        if "coaction" not in doc:
+            raise ComoduleError("module document has no coaction")
+        coaction = [[(tgt, tuple(mono)) for tgt, mono in terms] for terms in doc["coaction"]]
         return FiniteModule(algebra, basis, coaction, name=doc.get("name", ""))
-
-
-def _coaction_from_generator_actions(
-    algebra: Profile, basis: Sequence[BasisElement], actions: dict
-) -> list[list[CoactionTerm]]:
-    """Rebuild the full coaction from generator action matrices alone.
-
-    Every positive-degree basis monomial of the algebra is a sum of products
-    generator * (lower monomial); the decomposition is solved degree by
-    degree over GF(2), and the action of each monomial follows by composing
-    the generator matrices.  The coaction then pairs each monomial action
-    against the dual basis.
-    """
-    dim = len(basis)
-    n_gens = len(algebra.exponents or ())
-    gen_mats = []
-    for k in range(n_gens):
-        if not algebra.admits((1 << k,)):
-            raise ComoduleError(f"generator Sq{1 << k} is not in {algebra.describe()}")
-        rows = actions.get(f"Sq{1 << k}", [])
-        if len(rows) != dim:
-            raise ComoduleError(f"generator Sq{1 << k} matrix has wrong row count")
-        gen_mats.append(gf2.BitMatrix.from_support(dim, dim, rows))
-
-    # action matrices (row-per-source convention) per algebra monomial
-    act: dict[tuple[int, ...], gf2.BitMatrix] = {(): gf2.BitMatrix.identity(dim)}
-    for degree in range(1, algebra.top_degree() + 1):
-        monos = basis_in_degree(algebra, degree)
-        if not monos:
-            continue
-        candidates: list[tuple[int, tuple[int, ...]]] = []
-        cols = []  # one column per candidate product, bit p for monos[p]
-        for k in range(n_gens):
-            g = 1 << k
-            if g > degree:
-                continue
-            for m_low in basis_in_degree(algebra, degree - g):
-                candidates.append((k, m_low))
-                cols.append(product_mask(algebra, (g,), m_low))
-        solver = gf2.Solver(gf2.BitMatrix(len(cols), len(monos), cols))
-        for p, m in enumerate(monos):
-            combo = solver.solve(1 << p)
-            if combo is None:
-                raise ComoduleError(f"monomial {m} is not decomposable; bad profile data")
-            mat = gf2.BitMatrix.zeros(dim, dim)
-            for pos in gf2._set_bits(combo):
-                k, m_low = candidates[pos]
-                # row convention composes source-side first
-                mat = mat.xor(gf2.multiply(act[m_low], gen_mats[k]))
-            act[m] = mat
-    coaction: list[list[CoactionTerm]] = [[] for _ in range(dim)]
-    for mono, mat in act.items():
-        for i in range(dim):
-            for j in mat.row_support(i):
-                coaction[i].append((j, mono))
-    return coaction
 
 
 # ----- constructors -----

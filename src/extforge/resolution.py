@@ -485,7 +485,10 @@ def _hom_delta(
         return gf2.BitMatrix(0, sum(dim_of.get(t - g.t, 0) for g in targets), ())
     gens_s = cplx.gens[s]
     diff = cplx.diff[s + 1] if targets else ()
+    # keyed by module identity too: callers may share one cache across charts
+    # with different coefficients.  Held in the cache, M keeps its id to itself
     m_id = id(M)
+    cache.setdefault(m_id, M)
     cols = [0] * src_total
     r0 = 0  # first row of target generator g'
     for gp, g in enumerate(targets):
@@ -497,8 +500,6 @@ def _hom_delta(
             n_cols = dim_of.get(d_src)
             if not n_cols:
                 continue
-            # keyed by module identity too: callers may share one cache
-            # across charts with different coefficients
             key = (m_id, a.terms, d_src)
             act = cache.get(key)
             if act is None:

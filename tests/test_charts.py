@@ -124,15 +124,6 @@ def test_window_starts_the_layout_at_its_first_stem(sphere_chart):
     assert layout.width == 2 * charts.MARGIN + 4 * charts.UNIT
 
 
-def test_render_text_grid(sphere_chart):
-    text = charts.render_text(sphere_chart, max_stem=8)
-    lines = text.splitlines()
-    assert any("|" in ln for ln in lines)
-    # stem-0 column carries the h0 tower: a 1 in every filtration row
-    data_rows = [ln for ln in lines if "|" in ln]
-    assert all(ln.split("|")[1].strip().startswith("1") for ln in data_rows)
-
-
 def test_render_png_writes_file(tmp_path, cell_chart):
     out = tmp_path / "chart.png"
     charts.render_png(cell_chart, out)
@@ -167,7 +158,6 @@ def test_png_encoding(tmp_path, cell_chart):
 
 def test_empty_chart_renders():
     empty = charts.TsvChart()
-    assert charts.render_text(empty) == "(empty chart)\n"
     svg = charts.render_svg(empty)
     assert svg.startswith("<?xml") and svg.rstrip().endswith("</svg>")
     assert charts.parse_tsv(charts.render_tsv(empty)).dims == {}

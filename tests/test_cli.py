@@ -423,10 +423,10 @@ def test_module_chart_bytes_are_pinned(argv, name, digest, tmp_path, capsys):
 
 
 def test_v18_selection_needs_its_window_resolved():
-    with pytest.raises(cli.UsageError, match="through level 12"):
-        cli._h8v18_cone(resolution.minimal_resolution(cli.algebra_profile("A2"), 11, 30))
-    with pytest.raises(cli.UsageError, match="--max-t >= 30"):
-        cli._h8v18_cone(resolution.minimal_resolution(cli.algebra_profile("A2"), 12, 29))
+    for bounds, message in (((11, 30), "through level 12"), ((12, 29), "--max-t >= 30")):
+        res = resolution.minimal_resolution(cli.algebra_profile("A2"), *bounds)
+        with pytest.raises(cli.UsageError, match=message):
+            cli._h8v18_cone(res, resolution.cone(res, *cli.H8_CLASS))
 
 
 def test_ext_window_filter(tmp_path, capsys):
@@ -518,3 +518,25 @@ def test_verify_oracle_small_window(capsys):
     )
     assert code == 0
     assert "oracle.A1.trivial" in out and "oracle.A2.bo1" in out
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_verify_all_lines_are_pinned_and_resolve_a2_once(jobs, tmp_path, capsys, monkeypatch):
+    # the benchmark's verify-all workload records the digest of its verify lines
+    design = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "design.json").read_text())
+    spec = design["workloads"]["verify-all"]
+    resolved = []
+    real = cli.resolve_cached
+    monkeypatch.setattr(cli, "resolve_cached", lambda *a, **kw: resolved.append(a[:3]) or real(*a, **kw))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # --jobs 4 runs the suites in threads: switch between them often
+    try:
+        code, out, _ = run([*spec["argv"], "--jobs", jobs, "--cache-dir", str(tmp_path)], capsys)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    lines = "".join(ln for ln in out.splitlines(keepends=True) if ln.startswith(("ok\t", "FAIL\t")))
+    assert hashlib.sha256(lines.encode()).hexdigest() == spec["sha256"]
+    # les and vanishing-windows read one A(2) resolution, resolved once
+    assert resolved == [("A2", 14, 48)]
+    assert len(list(tmp_path.glob(_key("A2-*.json.gz")))) == 1

@@ -1,8 +1,10 @@
 """Resolution engine: minimality, cones, products, LES, self-map selection."""
 
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +258,18 @@ def test_ext_dim_at_consistent(res_a2_small):
     chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24, with_reps=False)
     for spot in ((3, 15), (5, 11), (6, 18)):
         assert R.ext_dim_at(res_a2_small, bo1, *spot) == chart.dims.get(spot, 0)
+
+
+def test_shared_action_cache_keeps_its_modules_alive(res_a2_small):
+    # the cache is keyed per module; were a key's module freed, its identity
+    # could pass to the next module, which would then read stale columns
+    cache: dict = {}
+    M = modules.bo(1)
+    R.ext_dim_at(res_a2_small, M, 3, 15, cache)
+    alive = weakref.ref(M)
+    del M
+    gc.collect()
+    assert alive() is not None
 
 
 def test_change_of_rings(res_a1_small, res_a2_small):
