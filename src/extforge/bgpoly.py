@@ -1,4 +1,4 @@
-"""Brown-Gitler polynomials and E1-page summand bookkeeping.
+"""Brown-Gitler polynomials, their dyadic lemma, and the A(1) vanishing line.
 
 The polynomial f_i(s, t, x) records how Ext groups with i-th bo-Brown-Gitler
 coefficients decompose: a monomial a * s^k t^l x^m stands for a summand
@@ -7,8 +7,10 @@ coefficients decompose: a monomial a * s^k t^l x^m stands for a summand
 
 of the E1-page of the exact-sequence spectral sequences, plus residual terms
 computed over the smaller subalgebra A(1) which the polynomial bookkeeping
-deliberately drops.  Everything here is exact integer and rational
-arithmetic; no chart computation happens in this module.
+deliberately drops; a1_vanishing_filter says where those residual terms
+provably vanish.  SummandDescriptor reads one monomial as its chart summand.
+Everything here is exact integer and rational arithmetic; no chart
+computation happens in this module.
 
 Conventions: s is the homological shift variable, t the 8-fold suspension
 variable, x counts bo_1 tensor factors.  A class of Ext^{s',t'}(N) appears
@@ -55,10 +57,6 @@ class BGPolynomial:
         return BGPolynomial(items)
 
     @staticmethod
-    def zero() -> "BGPolynomial":
-        return BGPolynomial(())
-
-    @staticmethod
     def one() -> "BGPolynomial":
         return BGPolynomial((((0, 0, 0), 1),))
 
@@ -82,13 +80,6 @@ class BGPolynomial:
                 mono = (k1 + k2, l1 + l2, m1 + m2)
                 out[mono] = out.get(mono, 0) + c1 * c2
         return BGPolynomial.from_dict(out)
-
-    def coefficient(self, k: int, l: int, m: int) -> int:
-        return self.as_dict().get((k, l, m), 0)
-
-    def evaluate_at_one(self) -> int:
-        """Total monomial count with multiplicity: f(1, 1, 1)."""
-        return sum(c for _, c in self.coefficients)
 
     def max_power(self, axis: int) -> int:
         """Largest exponent of s (axis 0), t (1) or x (2); 0 when empty."""
@@ -171,14 +162,6 @@ def check_lemma(i: int) -> LemmaReport:
     return LemmaReport(i, weight_ok, mod_s_ok, x_degree_ok, s_degree_ok)
 
 
-Window = tuple[tuple[int, int], tuple[int, int]]  # ((s_lo, s_hi), (t_lo, t_hi))
-
-
-def _window_max_stem(window: Window) -> int:
-    (s_lo, _), (_, t_hi) = window
-    return t_hi - s_lo
-
-
 @dataclass(frozen=True)
 class SummandDescriptor:
     """One monomial s^k t^l x^m of f_I, read as a chart summand."""
@@ -194,88 +177,6 @@ class SummandDescriptor:
         return (self.homological_shift, self.suspension + self.homological_shift)
 
 
-@dataclass(frozen=True)
-class A1Term:
-    """Opaque residual term computed over A(1); never expanded here."""
-
-    origin: tuple[int, ...]
-    disposition: str
-
-
-@dataclass(frozen=True)
-class SummandEnumeration:
-    bo_terms: tuple[SummandDescriptor, ...]
-    a1_terms: tuple[A1Term, ...]
-    dropped: tuple[SummandDescriptor, ...]
-
-
-def enumerate_summands(I: Sequence[int], window: Window) -> SummandEnumeration:
-    """E1-page summands of Ext(bo_I) that can meet the window.
-
-    A summand is kept when its bottom class (at stem 8l; M here is F2 in
-    degree 0) lies strictly below the window's top stem and its homological
-    shift is inside the window's filtration range.  The A(1)-residual and
-    out-of-range terms are reported, not silently discarded: above the
-    vanishing line of a1_vanishing_filter the residue provably cannot
-    contribute, below it a genuine A(1) computation would be needed.
-    """
-    poly = f_multi(I)
-    max_stem = _window_max_stem(window)
-    (_, s_hi), _ = window
-    kept: list[SummandDescriptor] = []
-    dropped: list[SummandDescriptor] = []
-    for (k, l, m), c in poly.coefficients:
-        desc = SummandDescriptor(8 * l + k, m, k, c)
-        if 8 * l < max_stem and k <= s_hi:
-            kept.append(desc)
-        else:
-            dropped.append(desc)
-    (s_lo, s_hi), (t_lo, t_hi) = window
-    spots = [
-        (s, t)
-        for s in range(s_lo, s_hi + 1)
-        for t in range(max(t_lo, s), t_hi + 1)
-    ]
-    if len(I) > 1 or (len(I) == 1 and I[0] > 1):
-        if all(a1_vanishing_filter(t - s, s) for s, t in spots):
-            disposition = "dropped: window lies above the A(1) vanishing line"
-        else:
-            disposition = "requires Ext_{A(1)} computation"
-        a1 = (A1Term(tuple(I), disposition),)
-    else:
-        a1 = ()
-    return SummandEnumeration(tuple(kept), a1, tuple(dropped))
-
-
 def a1_vanishing_filter(t_minus_s: int, s: int) -> bool:
     """True exactly when s > (1/7)(t-s) + 51/7, in exact arithmetic."""
     return Fraction(s) > Fraction(t_minus_s, 7) + Fraction(51, 7)
-
-
-def e1_window(n: int, window: Window) -> list[tuple[tuple[int, ...], SummandEnumeration]]:
-    """Multi-indices of the n-line whose suspension reaches the window.
-
-    The n-line term for I = (i_1, ..., i_n) carries a total suspension of
-    8(i_1 + ... + i_n); only indices whose bottom class lands strictly below
-    the window's top stem are listed, each with its summand expansion.
-    """
-    if n < 1:
-        raise ValueError("resolution line must be positive")
-    out: list[tuple[tuple[int, ...], SummandEnumeration]] = []
-
-    # enumerate i_1, ..., i_n >= 1 with 8 * sum(I) strictly below the top stem
-    def rec(prefix: list[int], remaining: int, budget_left: int):
-        if remaining == 0:
-            I = tuple(prefix)
-            out.append((I, enumerate_summands(I, window)))
-            return
-        i = 1
-        while 8 * i + 8 * (remaining - 1) < budget_left:
-            prefix.append(i)
-            rec(prefix, remaining - 1, budget_left - 8 * i)
-            prefix.pop()
-            i += 1
-
-    rec([], n, _window_max_stem(window))
-    out.sort(key=lambda pair: pair[0])
-    return out

@@ -725,6 +725,7 @@ SUITES: dict[str, Callable[[argparse.Namespace], list[VerifyItem]]] = {
     "vanishing-windows": _suite_vanishing_windows,
     "les": _suite_les,
 }
+_H8_CONE_SUITES = ("les", "vanishing-windows")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -744,7 +745,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for items in pool.map(lambda n: SUITES[n](args), names):
                 results.extend(items)
     else:
-        for n in names:
+        # the suites sharing _h8_cone_over_a2 run first, so their pair is
+        # released before the rest run
+        for n in sorted(names, key=lambda n: n not in _H8_CONE_SUITES):
+            if n not in _H8_CONE_SUITES:
+                vars(args).pop("h8_cone", None)
             results.extend(SUITES[n](args))
     results.sort(key=lambda r: r[0])
     failures = 0

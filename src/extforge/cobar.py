@@ -457,7 +457,6 @@ def cotor(
     M: object = None,
     max_s: int = 6,
     max_stem: int = 12,
-    check_d_squared: bool = True,
 ) -> dict[tuple[int, int], int]:
     """Bigraded Cotor dimensions over A(n)_* with coefficients in M.
 
@@ -465,11 +464,11 @@ def cotor(
     an engine FiniteModule (converted through the duality bridge).  Only
     nonzero dimensions appear in the result.
 
-    With check_d_squared on, every basis element in the slices (s,t) with
-    s >= s_lo - 1 (s_lo being the lowest reported filtration at t) of up
-    to _D2_CHECK_CAP elements gets an exhaustive d^2 = 0 check; that covers
-    all of the A(1) range and the low-degree A(2) range, and
-    CobarComplex.verify_d_squared can audit any specific slice on demand.
+    Every basis element in the slices (s,t) with s >= s_lo - 1 (s_lo being
+    the lowest reported filtration at t) of up to _D2_CHECK_CAP elements
+    gets an exhaustive d^2 = 0 check; that covers all of the A(1) range and
+    the low-degree A(2) range, and CobarComplex.verify_d_squared can audit
+    any specific slice on demand.
     Each basis element is differentiated at most once per t: the check
     hands the images it computes, of slice s and of the terms it meets in
     slice s + 1, to the rank passes of those slices.  Every computed
@@ -524,7 +523,7 @@ def cotor(
                 cleared, images = set(), {}
                 continue
             after: dict[int, list[int]] = {}
-            if check_d_squared and s >= s_lo - 1 and n_here <= _D2_CHECK_CAP:
+            if s >= s_lo - 1 and n_here <= _D2_CHECK_CAP:
                 after = cx.verify_d_squared(s, t, images)
             pivots: set[int] = set()
             ranks[s] = gf2.sparse_rank(columns(s, t, images, cleared), pivots)

@@ -165,27 +165,12 @@ class MilnorElement:
                 raise ValueError(f"{m} violates profile {self.algebra.describe()}")
 
     @staticmethod
-    def zero(algebra: Profile) -> "MilnorElement":
-        return MilnorElement(algebra, frozenset())
-
-    @staticmethod
     def unit(algebra: Profile) -> "MilnorElement":
         return MilnorElement(algebra, frozenset([()]))
 
     @staticmethod
     def sq(algebra: Profile, *entries: int) -> "MilnorElement":
         return MilnorElement(algebra, frozenset([normalize_monomial(entries)]))
-
-    @staticmethod
-    def from_monomials(algebra: Profile, monos: Iterable[tuple[int, ...]]) -> "MilnorElement":
-        acc: set[tuple[int, ...]] = set()
-        for m in monos:
-            m = normalize_monomial(m)
-            if m in acc:
-                acc.discard(m)
-            else:
-                acc.add(m)
-        return MilnorElement(algebra, frozenset(acc))
 
     @property
     def is_zero(self) -> bool:

@@ -122,9 +122,6 @@ class PoincareSeries:
     def as_dict(self) -> dict[int, int]:
         return dict(self.coefficients)
 
-    def coefficient(self, degree: int) -> int:
-        return self.as_dict().get(degree, 0)
-
     def shift(self, k: int) -> "PoincareSeries":
         return PoincareSeries(tuple((d + k, c) for d, c in self.coefficients))
 
@@ -397,21 +394,6 @@ def suspend(M: FiniteModule, k: int) -> FiniteModule:
     basis = [BasisElement(b.label, b.degree + k, b.weight) for b in M.basis]
     name = f"S^{k}({M.name})" if M.name else f"S^{k}"
     return FiniteModule(M.algebra, basis, M.coaction, name=name, validate=False)
-
-
-def direct_sum(M: FiniteModule, N: FiniteModule) -> FiniteModule:
-    if M.algebra != N.algebra:
-        raise ComoduleError("algebra mismatch")
-    basis = [BasisElement(f"L.{b.label}", b.degree, b.weight) for b in M.basis] + [
-        BasisElement(f"R.{b.label}", b.degree, b.weight) for b in N.basis
-    ]
-    off = M.dimension
-    coaction = [list(terms) for terms in M.coaction] + [
-        [(tgt + off, mono) for tgt, mono in terms] for terms in N.coaction
-    ]
-    return FiniteModule(
-        M.algebra, basis, coaction, name=f"{M.name}+{N.name}", validate=False
-    )
 
 
 def tensor(M: FiniteModule, N: FiniteModule) -> FiniteModule:

@@ -280,7 +280,7 @@ class FreeComplex:
         ]
         cells = [Cell(lbl, stem, filt) for lbl, stem, filt in doc["cells"]]
         attach = [AttachingRecord(s0, t0, tuple(cc), cd) for s0, t0, cc, cd in doc["attachings"]]
-        klass: type = FreeResolution if len(cells) == 1 and not attach else CellObject
+        klass: type = FreeResolution if len(cells) == 1 and not attach else FreeComplex
         return klass(algebra, doc["max_s"], doc["max_t"], cells, gens, diff, attach)
 
 
@@ -311,10 +311,6 @@ class FreeResolution(FreeComplex):
                         f"ranks {rank_below} below and {rank_above} above"
                     )
                 rank_below = rank_above
-
-
-class CellObject(FreeComplex):
-    """Iterated mapping cone realized as an honest free complex."""
 
 
 def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResolution:
@@ -378,9 +374,6 @@ class ExtChart:
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
-
-    def nonzero(self) -> list[tuple[int, int]]:
-        return sorted(self.dims)
 
     def to_json_dict(self) -> dict:
         return {
@@ -570,7 +563,6 @@ def ext_over_complex(
     coefficients: str,
     max_s: Optional[int] = None,
     max_t: Optional[int] = None,
-    with_reps: bool = True,
 ) -> ExtChart:
     """Cohomology of Hom(cplx, M), with labels and cell provenance.
 
@@ -578,9 +570,8 @@ def ext_over_complex(
     classes all come from its one cell, so its chart takes ranks only:
     provenance is 0 everywhere and ``chart.reps`` is left empty, to be
     filled on demand by the products that read it.  A multi-cell chart
-    with ``with_reps`` builds the class representatives at every nonzero
-    spot, since cell provenance reads them; without ``with_reps`` it takes
-    ranks only and has no provenance or cell labels.
+    builds the class representatives at every nonzero spot, since cell
+    provenance reads them.
     """
     if M.algebra != cplx.algebra:
         raise ResolutionError("algebra mismatch between complex and coefficients")
@@ -596,7 +587,6 @@ def ext_over_complex(
         module=M,
     )
     multi_cell = len(cplx.cells) > 1
-    eager = multi_cell and with_reps
     cache: dict = {}
     for t in range(t_hi + 1):
         prev_delta: Optional[gf2.BitMatrix] = None  # in column form
@@ -607,7 +597,7 @@ def ext_over_complex(
             if cur_total == 0:
                 prev_delta, prev_rank = None, 0
                 continue
-            if eager:
+            if multi_cell:
                 solver = gf2.Solver(delta)
                 rank_cur = solver.rank
             else:
@@ -616,7 +606,7 @@ def ext_over_complex(
             if dim:
                 chart.dims[(s, t)] = dim
                 stem = t - s
-                if eager:
+                if multi_cell:
                     local = _canonical_reps(solver, prev_delta)
                     chart.reps[(s, t)] = local
                     prov = _provenance_of_class(cplx, M, s, t, delta, local)
@@ -626,8 +616,7 @@ def ext_over_complex(
                         for i, c in enumerate(prov)
                     )
                 else:
-                    if not multi_cell:
-                        chart.provenance[(s, t)] = (0,) * dim
+                    chart.provenance[(s, t)] = (0,) * dim
                     chart.labels[(s, t)] = tuple(
                         f"x_{{{stem},{s}}}({i + 1})" for i in range(dim)
                     )
@@ -1004,7 +993,10 @@ def _trivial_layout(cplx: FreeComplex, s: int, t: int) -> list[int]:
 
 def _trivial_delta(cplx: FreeComplex, s: int, t: int) -> gf2.BitMatrix:
     """Trivial-coefficient delta, functionals on level s to level s+1, in
-    column form: row p is the column of the p-th source functional."""
+    column form: row p is the column of the p-th source functional.
+
+    Not a ``_hom_delta`` call with F2: class lifts also run over the full
+    algebra, which has no finite trivial module."""
     src_pos = {i: p for p, i in enumerate(_trivial_layout(cplx, s, t))}
     tgt = _trivial_layout(cplx, s + 1, t)
     cols = [0] * len(src_pos)
@@ -1053,7 +1045,7 @@ def cone(
     s0: int,
     t0: int,
     class_coords: Optional[Sequence[int]] = None,
-) -> CellObject:
+) -> FreeComplex:
     """Mapping cone over a trivial-coefficient class of the base at (s0,t0).
 
     The class is given in the canonical representative basis of the base's
@@ -1101,7 +1093,7 @@ def cone(
                 row = [(b2_index[(s - 1, h)], a) for h, a in base.diff[s_src][i]]
                 diff[s].append(tuple(row))
     record = AttachingRecord(s0, t0, coords, dim)
-    return CellObject(
+    return FreeComplex(
         base.algebra,
         max_s,
         max_t,

@@ -40,7 +40,7 @@ def test_criterion_01_oracle_equivalence(report):
             chart = (
                 R.ext_f2(res, install_products=())
                 if M is None
-                else R.ext_over_complex(res, M, coeff_name, with_reps=False)
+                else R.ext_over_complex(res, M, coeff_name)
             )
             engine = {
                 (s, t): d
@@ -238,8 +238,8 @@ def test_criterion_06_window_vanishing_spots(res_a2_deep, h8v_deep, report):
     )
 
     triv = modules.trivial(milnor.A2)
-    top_chart = R.ext_over_complex(X, triv, "F2", max_s=27, with_reps=False)
-    bo1_chart = R.ext_over_complex(X, bo1, "bo1", max_s=27, max_t=90, with_reps=False)
+    top_chart = R.ext_over_complex(X, triv, "F2", max_s=27)
+    bo1_chart = R.ext_over_complex(X, bo1, "bo1", max_s=27, max_t=90)
     c1 = R.vanishing_edge(bo1_chart, Fraction(1, 5), 0)
     cH = R.vanishing_edge(top_chart, Fraction(1, 5), 0)
 
@@ -367,8 +367,8 @@ def test_criterion_11_determinism(res_a1, tmp_path, report):
         modules.bo(1, milnor.A1), modules.bo(1, milnor.A1)
     )
     permuted = _permute_module_in_degree(bo11, 11)
-    a = R.ext_over_complex(res_a1, bo11, "m", max_s=7, max_t=20, with_reps=False)
-    b = R.ext_over_complex(res_a1, permuted, "m", max_s=7, max_t=20, with_reps=False)
+    a = R.ext_over_complex(res_a1, bo11, "m", max_s=7, max_t=20)
+    b = R.ext_over_complex(res_a1, permuted, "m", max_s=7, max_t=20)
     relabel_ok = a.dims == b.dims and charts.render_tsv(a) == charts.render_tsv(b)
 
     base = [

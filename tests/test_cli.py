@@ -472,7 +472,12 @@ def test_ext_jobs_identical_output(tmp_path, capsys):
 def test_bgpoly_output(capsys):
     code, out, _ = run(["bgpoly", "2"], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "f_2 = t x + s t^2"
+    # f_2 = t x + s t^2: summands S^8 bo_1 and S^17 F2 with shift 1
+    assert out.splitlines() == [
+        "f_2 = t x + s t^2",
+        "  summand S^8 bo_1^(x1): homological shift 0, multiplicity 1, bottom bidegree (0, 8)",
+        "  summand S^17 F2: homological shift 1, multiplicity 1, bottom bidegree (1, 18)",
+    ]
     code, out, _ = run(["bgpoly", "3"], capsys)
     assert out.splitlines()[0] == "f_3 = t x^2"
     code, out, _ = run(["bgpoly", "1,1"], capsys)
@@ -540,3 +545,16 @@ def test_verify_all_lines_are_pinned_and_resolve_a2_once(jobs, tmp_path, capsys,
     # les and vanishing-windows read one A(2) resolution, resolved once
     assert resolved == [("A2", 14, 48)]
     assert len(list(tmp_path.glob(_key("A2-*.json.gz")))) == 1
+
+
+def test_verify_all_releases_the_shared_cone_before_the_oracle(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def oracle(args):
+        seen.append(hasattr(args, "h8_cone"))
+        return [("oracle.stub", True, "")]
+
+    monkeypatch.setitem(cli.SUITES, "oracle", oracle)
+    code, out, _ = run(["verify", "all", "--jobs", "1", "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0 and "ok\tles.h8\t" in out and "ok\tvanishing-windows.control\t" in out
+    assert seen == [False]

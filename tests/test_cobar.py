@@ -187,7 +187,7 @@ def test_d_squared_check_catches_a_broken_differential(monkeypatch):
 
     monkeypatch.setattr(cobar.CobarComplex, "__init__", broken_init)
     with pytest.raises(AssertionError, match=r"d\^2 != 0"):
-        cobar.cotor(milnor.A1, max_s=2, max_stem=4, check_d_squared=True)
+        cobar.cotor(milnor.A1, max_s=2, max_stem=4)
 
 
 def test_d_squared_check_catches_a_broken_coaction():
@@ -203,17 +203,7 @@ def test_d_squared_check_catches_a_broken_coaction():
     with pytest.raises(AssertionError, match=r"d\^2 != 0 on \(3,\) at \(s,t\)=\(0,7\)"):
         cx.verify_d_squared(0, 7)
     with pytest.raises(AssertionError, match=r"d\^2 != 0"):
-        cobar.cotor(milnor.A1, broken, max_s=2, max_stem=8, check_d_squared=True)
-
-
-@pytest.mark.parametrize("coeff", sorted(COEFFICIENTS))
-@pytest.mark.parametrize("algebra", [milnor.A1, milnor.A2], ids=["A1", "A2"])
-def test_d_squared_check_leaves_dims_unchanged(algebra, coeff):
-    comodule = COEFFICIENTS[coeff](algebra)
-    checked = cobar.cotor(algebra, comodule, max_s=5, max_stem=8, check_d_squared=True)
-    unchecked = cobar.cotor(algebra, comodule, max_s=5, max_stem=8, check_d_squared=False)
-    assert checked == unchecked
-    assert checked
+        cobar.cotor(milnor.A1, broken, max_s=2, max_stem=8)
 
 
 # the slices whose d^2 the oracle checks at (max_s, max_stem) = (5, 8),
@@ -320,7 +310,7 @@ def test_cotor_matches_the_engine_on_bo1_tensor_square():
     assert M.dimension == 16 and len(M.degrees()) == 10
     dims = cobar.cotor(milnor.A1, M, max_s=5, max_stem=10)
     res = resolution.minimal_resolution(milnor.A1, 6, 15)
-    chart = resolution.ext_over_complex(res, M, "m", with_reps=False)
+    chart = resolution.ext_over_complex(res, M, "m")
     engine = {(s, t): d for (s, t), d in chart.dims.items() if t - s <= 10 and d}
     assert len(dims) == 24 and dims == engine
 

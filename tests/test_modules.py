@@ -65,15 +65,6 @@ def test_suspend_shifts_degrees():
     up.verify_action()
 
 
-def test_direct_sum_poincare_adds():
-    a, b = modules.bo(1), modules.tmf_bg(1)
-    s = modules.direct_sum(a, b)
-    pa, pb, ps = (m.poincare().as_dict() for m in (a, b, s))
-    for d in set(pa) | set(pb):
-        assert ps.get(d, 0) == pa.get(d, 0) + pb.get(d, 0)
-    s.verify_action()
-
-
 def test_tensor_poincare_multiplies():
     a, b = modules.bo(1), modules.bo(1)
     t = modules.tensor(a, b)
