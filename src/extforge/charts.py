@@ -7,12 +7,14 @@ the tiny holder :func:`parse_tsv` returns.
 
 Glyphs follow the cell-based marker scheme: solid dots for classes the
 0-cell carries, open circles for the 1-cell, solid and open triangles
-for the 17- and 18-cells of the larger cone object, boxes for classes
-that support towers, crosses for the classes a tower inherits above its
-root.  Cell membership is read from the ``[cell]`` tag the engine puts
-in class labels; tower roots and members are extra inputs on the style,
-since towers are a statement about products rather than about a single
-bidegree.
+for the 17- and 18-cells of the larger cone object.  Cell membership is
+read from the ``[cell]`` tag the engine puts in class labels; a class
+without a tag is a solid dot.
+
+Every renderer takes an optional stem window ``stem_range`` = (lo, hi),
+and :func:`shown_dims` is the one step that applies it: it picks the
+nonzero bidegrees the TSV rows, the layout and the command's class count
+all read.
 
 One layout step (:func:`chart_layout`) places the axes, tick numbers,
 product lines and glyphs; the SVG and PNG renderers only emit it.  The
@@ -46,31 +48,22 @@ _CELL_GLYPHS = {
     "17": "solid-triangle",
     "18": "open-triangle",
 }
-_DEFAULT_GLYPH = "solid-dot"
 
 
-@dataclass(frozen=True)
-class ChartStyle:
-    """What a chart draws beyond its classes: towers and a stem window.
+def _glyph_for(label: str) -> str:
+    """The glyph of one class, from the ``[cell]`` tag ending its label."""
+    m = re.search(r"\[([^\]]+)\]$", label)
+    return _CELL_GLYPHS.get(m.group(1), "solid-dot") if m else "solid-dot"
 
-    ``tower_roots`` and ``tower_classes`` are the (s, t) bidegrees drawn as
-    tower boxes and tower crosses; ``stem_range`` clips the chart to the
-    stems lo..hi.  Scale, margins, cell glyphs and the product lines
-    (``PRODUCT_LINES``) are fixed.
-    """
 
-    tower_roots: frozenset = frozenset()
-    tower_classes: frozenset = frozenset()
-    stem_range: Optional[tuple[int, int]] = None
-
-    def glyph_for(self, spot: tuple[int, int], label: str) -> str:
-        """The unique glyph of one class: tower rules first, then cell tag."""
-        if spot in self.tower_roots:
-            return "tower-box"
-        if spot in self.tower_classes:
-            return "tower-cross"
-        m = re.search(r"\[([^\]]+)\]$", label)
-        return _CELL_GLYPHS.get(m.group(1), _DEFAULT_GLYPH) if m else _DEFAULT_GLYPH
+def shown_dims(chart, stem_range: Optional[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The nonzero dims of a chart whose stems lie in ``stem_range`` (all if
+    None), in (stem, filtration) order."""
+    return {
+        (s, t): chart.dims[(s, t)]
+        for s, t in sorted(chart.dims, key=lambda k: (k[1] - k[0], k[0]))
+        if chart.dims[(s, t)] and (stem_range is None or stem_range[0] <= t - s <= stem_range[1])
+    }
 
 
 @dataclass
@@ -85,17 +78,13 @@ class TsvChart:
 TSV_HEADER = "stem\tfiltration\tdim\tlabels"
 
 
-def render_tsv(chart) -> str:
+def render_tsv(chart, stem_range: Optional[tuple[int, int]] = None) -> str:
     """Tab-separated rows (stem, filtration, dim, labels), sorted, lossless."""
     labels = getattr(chart, "labels", {}) or {}
     rows = [TSV_HEADER]
-    spots = sorted(((t - s, s, (s, t)) for (s, t) in chart.dims), key=lambda r: (r[0], r[1]))
-    for stem, s, key in spots:
-        dim = chart.dims[key]
-        if not dim:
-            continue
-        names = ";".join(labels.get(key, ()))
-        rows.append(f"{stem}\t{s}\t{dim}\t{names}")
+    for (s, t), dim in shown_dims(chart, stem_range).items():
+        names = ";".join(labels.get((s, t), ()))
+        rows.append(f"{t - s}\t{s}\t{dim}\t{names}")
     return "\n".join(rows) + "\n"
 
 
@@ -125,6 +114,7 @@ _SVG_STYLE = (
     "  .open-circle { fill: #fff; stroke: #000; stroke-width: 1.2; }\n"
     "  .solid-triangle { fill: #000; stroke: none; }\n"
     "  .open-triangle { fill: #fff; stroke: #000; stroke-width: 1.2; }\n"
+    # no glyph uses the two tower rules; they stay because the SVG bytes are pinned
     "  .tower-box { fill: #fff; stroke: #000; stroke-width: 1.2; }\n"
     "  .tower-cross { fill: none; stroke: #000; stroke-width: 1.2; }\n"
     "  .h0-line { stroke: #000; stroke-width: 0.8; }\n"
@@ -150,17 +140,6 @@ def _glyph_element(glyph: str, x: float, y: float, r: float, title: str) -> str:
     if glyph in ("solid-triangle", "open-triangle"):
         pts = f"{x:.1f},{y - r:.1f} {x - r:.1f},{y + r:.1f} {x + r:.1f},{y + r:.1f}"
         return f'<polygon class="{glyph}" points="{pts}">{inner}</polygon>'
-    if glyph == "tower-box":
-        side = 2 * r
-        return (
-            f'<rect class="tower-box" x="{x - r:.1f}" y="{y - r:.1f}" '
-            f'width="{side:.1f}" height="{side:.1f}">{inner}</rect>'
-        )
-    if glyph == "tower-cross":
-        return (
-            f'<path class="tower-cross" d="M {x - r:.1f} {y - r:.1f} L {x + r:.1f} {y + r:.1f} '
-            f'M {x - r:.1f} {y + r:.1f} L {x + r:.1f} {y - r:.1f}">{inner}</path>'
-        )
     raise ValueError(f"unknown glyph {glyph!r}")
 
 
@@ -184,25 +163,19 @@ class ChartLayout:
     groups: tuple[tuple[tuple[int, int], tuple[tuple[str, float, float, str], ...]], ...]
 
 
-def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
+def chart_layout(chart, stem_range: Optional[tuple[int, int]] = None) -> ChartLayout:
     """Place the axes, ticks, product lines and one glyph per class."""
-    style = style or ChartStyle()
     labels = getattr(chart, "labels", {}) or {}
     products = getattr(chart, "products", {}) or {}
-    spots = {
-        (s, t): d
-        for (s, t), d in chart.dims.items()
-        if d
-        and (style.stem_range is None or style.stem_range[0] <= t - s <= style.stem_range[1])
-    }
+    spots = shown_dims(chart, stem_range)
     if spots:
         lo_stem = min(t - s for (s, t) in spots)
         hi_stem = max(t - s for (s, t) in spots)
         hi_filt = max(s for (s, t) in spots)
     else:
         lo_stem, hi_stem, hi_filt = 0, 0, 0
-    if style.stem_range is not None:
-        lo_stem, hi_stem = style.stem_range
+    if stem_range is not None:
+        lo_stem, hi_stem = stem_range
     else:
         lo_stem = min(lo_stem, 0)
     width = 2 * MARGIN + (hi_stem - lo_stem) * UNIT
@@ -250,22 +223,21 @@ def chart_layout(chart, style: Optional[ChartStyle] = None) -> ChartLayout:
                         lines.append((name, x1, y_of(s), x2, y_of(tgt[0])))
 
     groups = []
-    for (s, t) in sorted(spots, key=lambda k: (k[1] - k[0], k[0])):
-        d = spots[(s, t)]
+    for (s, t), d in spots.items():
         names = labels.get((s, t), tuple(f"x_{{{t - s},{s}}}({i + 1})" for i in range(d)))
         glyphs = []
         for i, off in enumerate(offset_of[(s, t)]):
             label = names[i] if i < len(names) else f"x_{{{t - s},{s}}}({i + 1})"
-            glyphs.append((style.glyph_for((s, t), label), x_of(t - s) + off, y_of(s), label))
+            glyphs.append((_glyph_for(label), x_of(t - s) + off, y_of(s), label))
         groups.append(((t - s, s), tuple(glyphs)))
     return ChartLayout(
         width, height, max(2.5, UNIT * 0.16), axes, tuple(ticks), tuple(lines), tuple(groups)
     )
 
 
-def render_svg(chart, style: Optional[ChartStyle] = None) -> str:
+def render_svg(chart, stem_range: Optional[tuple[int, int]] = None) -> str:
     """Deterministic SVG document: one group per bidegree, product lines under glyphs."""
-    lay = chart_layout(chart, style)
+    lay = chart_layout(chart, stem_range)
     width, height = lay.width, lay.height
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
@@ -412,17 +384,11 @@ def _png_chunk(kind: bytes, data: bytes) -> bytes:
 def _glyph_shade(kind: str, dx: float, dy: float, r: float, h: float) -> Optional[int]:
     # signed distance to the marker outline (negative inside); convex
     # outlines as a max over edge half-planes, which gives mitred corners
-    if kind == "tower-cross":
-        on_a = abs(dx - dy) <= h * math.sqrt(2) and abs(dx + dy) <= 2 * r
-        on_b = abs(dx + dy) <= h * math.sqrt(2) and abs(dx - dy) <= 2 * r
-        return 0x00 if on_a or on_b else None
     if kind in ("solid-dot", "open-circle"):
         dist = math.hypot(dx, dy) - r
     elif kind in ("solid-triangle", "open-triangle"):
         slant = math.sqrt(5)
         dist = max(dy - r, (-2 * dx - dy - r) / slant, (2 * dx - dy - r) / slant)
-    elif kind == "tower-box":
-        dist = max(abs(dx), abs(dy)) - r
     else:
         raise ValueError(f"unknown glyph {kind!r}")
     if kind in ("solid-dot", "solid-triangle"):
@@ -432,7 +398,7 @@ def _glyph_shade(kind: str, dx: float, dy: float, r: float, h: float) -> Optiona
     return 0x00 if dist >= -h else 0xFF
 
 
-def render_png(chart, path, style: Optional[ChartStyle] = None) -> str:
+def render_png(chart, path, stem_range: Optional[tuple[int, int]] = None) -> str:
     """Rasterize the SVG layout into an 8-bit greyscale PNG file.
 
     Same primitives and draw order as render_svg, at PNG_SCALE pixels per
@@ -441,7 +407,7 @@ def render_png(chart, path, style: Optional[ChartStyle] = None) -> str:
     pixels are deterministic; the file bytes repeat on one machine, but
     the zlib-compressed stream may differ between zlib builds.
     """
-    lay = chart_layout(chart, style)
+    lay = chart_layout(chart, stem_range)
     canvas = _Raster(lay.width, lay.height)
     for x1, y1, x2, y2 in lay.axes:
         canvas.segment(x1, y1, x2, y2, _AXIS_WIDTH, _AXIS_SHADE)

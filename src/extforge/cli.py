@@ -206,6 +206,9 @@ def parse_descriptor(text: str) -> DescriptorPlan:
                 susp = int(head[2:])
             except ValueError as exc:
                 raise UsageError(f"bad suspension {tokens[0]!r}") from exc
+            if susp < 0:
+                # nothing below t = 0 is resolved, so a negative shift would lose classes
+                raise UsageError(f"suspension {tokens[0]!r} must be non-negative")
         name = tokens[-1].lower()
         if name in _CONE_ATOMS:
             if susp:
@@ -398,21 +401,6 @@ def _window_of(arg: Optional[str]) -> Optional[tuple[int, int]]:
     return a, b
 
 
-def _windowed(chart, window: Optional[tuple[int, int]]):
-    if window is None:
-        return chart
-    from . import charts
-
-    out = charts.TsvChart()
-    for (s, t), d in chart.dims.items():
-        if window[0] <= t - s <= window[1]:
-            out.dims[(s, t)] = d
-            if (s, t) in chart.labels:
-                out.labels[(s, t)] = chart.labels[(s, t)]
-    out.products = chart.products
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -458,13 +446,11 @@ def cmd_ext(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         log=_say,
     )
-    view = _windowed(chart, window)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"ext-{plan.slug}-{args.algebra}-s{max_s}-t{max_t}"
     if window is not None:
         base += f"-w{window[0]}-{window[1]}"
-    style = charts.ChartStyle(stem_range=window)
     written: list[Path] = []
 
     formats = {args.format}
@@ -472,15 +458,15 @@ def cmd_ext(args: argparse.Namespace) -> int:
         formats.add("svg")
     if "tsv" in formats:
         tsv_path = out_dir / f"{base}.tsv"
-        tsv_path.write_text(charts.render_tsv(view))
+        tsv_path.write_text(charts.render_tsv(chart, window))
         written.append(tsv_path)
         if not args.no_png:
             png_path = out_dir / f"{base}.png"
-            charts.render_png(chart, png_path, style)
+            charts.render_png(chart, png_path, window)
             written.append(png_path)
     if "svg" in formats:
         svg_path = out_dir / f"{base}.svg"
-        svg_path.write_text(charts.render_svg(chart, style))
+        svg_path.write_text(charts.render_svg(chart, window))
         written.append(svg_path)
     if "json" in formats:
         import json
@@ -490,9 +476,8 @@ def cmd_ext(args: argparse.Namespace) -> int:
         json_path = out_dir / f"{base}.json"
         json_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
         written.append(json_path)
-    classes = sum(view.dims.values())
-    spots = sum(1 for d in view.dims.values() if d)
-    _say(f"chart {plan.text}: {classes} classes in {spots} bidegrees")
+    shown = charts.shown_dims(chart, window)
+    _say(f"chart {plan.text}: {sum(shown.values())} classes in {len(shown)} bidegrees")
     for path in written:
         _say(f"wrote {path}")
     return 0
@@ -829,6 +814,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

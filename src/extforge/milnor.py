@@ -82,11 +82,6 @@ class Profile:
             h(n - i) <= i + h(n) or h(i) <= h(n) for n in range(2, 2 * len(self.exponents) + 1) for i in range(1, n)
         )
 
-    def dimension(self) -> int:
-        if self.exponents is None:
-            raise ValueError("the full algebra is infinite-dimensional")
-        return 1 << sum(self.exponents)
-
     def top_degree(self) -> int:
         if self.exponents is None:
             raise ValueError("the full algebra is unbounded")

@@ -39,8 +39,6 @@ from .milnor import (
     psi_dual_monomial,
 )
 
-FORMAT_VERSION = 1
-
 
 class ComoduleError(ValueError):
     pass
@@ -137,9 +135,6 @@ class PoincareSeries:
             for k2, v2 in other.coefficients:
                 d[k1 + k2] = d.get(k1 + k2, 0) + v1 * v2
         return PoincareSeries.from_dict(d)
-
-    def top_degree(self) -> int:
-        return max((d for d, _ in self.coefficients), default=0)
 
 
 CoactionTerm = tuple[int, tuple[int, ...]]
@@ -319,28 +314,6 @@ class FiniteModule:
             )
             self._act_cache[key] = cached
         return cached
-
-    # ----- serialization -----
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "algebra": list(self.algebra.exponents or []),
-            "name": self.name,
-            "basis": [[b.label, b.degree, b.weight] for b in self.basis],
-            "coaction": [[[tgt, list(mono)] for tgt, mono in terms] for terms in self.coaction],
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "FiniteModule":
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ComoduleError(f"unsupported module format {doc.get('format_version')}")
-        algebra = Profile(tuple(doc["algebra"]))
-        basis = [BasisElement(lbl, deg, wt) for lbl, deg, wt in doc["basis"]]
-        if "coaction" not in doc:
-            raise ComoduleError("module document has no coaction")
-        coaction = [[(tgt, tuple(mono)) for tgt, mono in terms] for terms in doc["coaction"]]
-        return FiniteModule(algebra, basis, coaction, name=doc.get("name", ""))
 
 
 # ----- constructors -----

@@ -395,28 +395,6 @@ class ExtChart:
             "notes": self.notes,
         }
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "ExtChart":
-        chart = ExtChart(
-            algebra=doc["algebra"],
-            coefficients=doc["coefficients"],
-            max_s=doc["max_s"],
-            max_t=doc["max_t"],
-        )
-        chart.dims = {(s, t): d for s, t, d in doc["dims"]}
-        chart.labels = {(s, t): tuple(v) for s, t, v in doc["labels"]}
-        chart.provenance = {(s, t): tuple(v) for s, t, v in doc["provenance"]}
-        chart.cells = tuple(Cell(lbl, stem, filt) for lbl, stem, filt in doc["cells"])
-        chart.products = {
-            name: {
-                (s, t): gf2.BitMatrix.from_support(len(rows), cols, rows)
-                for s, t, rows, cols in entries
-            }
-            for name, entries in doc["products"].items()
-        }
-        chart.notes = dict(doc["notes"])
-        return chart
-
 
 @dataclass
 class CohomologyLocal:

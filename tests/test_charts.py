@@ -1,5 +1,6 @@
 """Renderers: TSV round-trip, deterministic SVG, glyph rules, product lines."""
 
+import hashlib
 import re
 import struct
 import zlib
@@ -10,8 +11,7 @@ from extforge import charts, milnor, modules
 from extforge import resolution as R
 
 GLYPH_RE = re.compile(
-    r'<(?:circle|polygon|rect|path) class='
-    r'"(solid-dot|open-circle|solid-triangle|open-triangle|tower-box|tower-cross)"'
+    r'<(?:circle|polygon) class="(solid-dot|open-circle|solid-triangle|open-triangle)"'
 )
 
 
@@ -53,6 +53,20 @@ def test_svg_deterministic(cell_chart):
     assert charts.render_svg(cell_chart) == charts.render_svg(cell_chart)
 
 
+# sha256 of render_svg: the A(1) sphere chart with its h0/h1/h2 product
+# lines, and the two-cell h0^3 cone chart with dots and circles
+PINNED_SVG = {
+    "sphere": "5819a09ecd954fe29dc43c0841a461aac47ca31ad2824e1bfe5ce45d7bffe61a",
+    "cell": "3d21fa4677bbe1db8a786ce7ea6133d0ba5cb7c488776d67d647371ad0c88220",
+}
+
+
+def test_svg_bytes_are_pinned(sphere_chart, cell_chart):
+    for name, chart in (("sphere", sphere_chart), ("cell", cell_chart)):
+        digest = hashlib.sha256(charts.render_svg(chart).encode()).hexdigest()
+        assert digest == PINNED_SVG[name], name
+
+
 def test_svg_one_glyph_per_class(sphere_chart, cell_chart):
     for chart in (sphere_chart, cell_chart):
         svg = charts.render_svg(chart)
@@ -90,37 +104,22 @@ def test_svg_product_lines(sphere_chart):
     assert drawn == expected
 
 
-def test_style_tower_glyphs(sphere_chart):
-    style = charts.ChartStyle(
-        tower_roots=frozenset({(0, 0)}),
-        tower_classes=frozenset({(s, s) for s in range(1, 30)}),
-    )
-    svg = charts.render_svg(sphere_chart, style)
-    assert '<rect class="tower-box"' in svg
-    assert '<path class="tower-cross"' in svg
-    # tower styling must not change the glyph count
-    assert len(GLYPH_RE.findall(svg)) == sum(sphere_chart.dims.values())
-
-
 def test_glyph_precedence():
-    style = charts.ChartStyle(tower_roots=frozenset({(2, 4)}))
-    assert style.glyph_for((2, 4), "x_{2,2}(1)[1]") == "tower-box"
-    assert style.glyph_for((2, 5), "x_{3,2}(1)[1]") == "open-circle"
-    assert style.glyph_for((2, 5), "x_{3,2}(1)[17]") == "solid-triangle"
-    assert style.glyph_for((2, 5), "x_{3,2}(1)[18]") == "open-triangle"
-    assert style.glyph_for((2, 5), "x_{3,2}(1)") == "solid-dot"
+    # the cell tag at the end of a label picks the glyph; no tag is a dot
+    assert charts._glyph_for("x_{3,2}(1)[1]") == "open-circle"
+    assert charts._glyph_for("x_{3,2}(1)[17]") == "solid-triangle"
+    assert charts._glyph_for("x_{3,2}(1)[18]") == "open-triangle"
+    assert charts._glyph_for("x_{3,2}(1)") == "solid-dot"
 
 
 def test_window_restricts_svg(sphere_chart):
-    style = charts.ChartStyle(stem_range=(0, 4))
-    svg = charts.render_svg(sphere_chart, style)
+    svg = charts.render_svg(sphere_chart, (0, 4))
     shown = sum(d for (s, t), d in sphere_chart.dims.items() if 0 <= t - s <= 4)
     assert len(GLYPH_RE.findall(svg)) == shown
 
 
 def test_window_starts_the_layout_at_its_first_stem(sphere_chart):
-    style = charts.ChartStyle(stem_range=(8, 12))
-    layout = charts.chart_layout(sphere_chart, style)
+    layout = charts.chart_layout(sphere_chart, (8, 12))
     assert layout.width == 2 * charts.MARGIN + 4 * charts.UNIT
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ def test_parse_tensor_and_suspension():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "nope", "bo:x", "bo:-1", "h8 ⊗ h8v18", "s^2 h8", "s^ bo:1"):
+    for bad in ("", "nope", "bo:x", "bo:-1", "h8 ⊗ h8v18", "s^2 h8", "s^ bo:1", "s^-3 bo:1"):
         with pytest.raises(cli.UsageError):
             cli.parse_descriptor(bad)
 
@@ -388,9 +389,14 @@ def test_cone_charts_match_the_deeper_resolutions(
         (["ext", "h8", "--max-s", "0", "--max-t", "6", "--no-png"], 0, ""),
         (["ext", "h8", "--max-t", "2", "--no-png"], 2, "--max-t >= 3"),
         (["ext", "h8v18", "--max-s", "3", "--max-t", "20", "--no-png"], 2, "--max-t >= 30"),
+        # nothing below t = 0 is resolved, so s^-3 would cut bo:1's stem-0 tower
+        (["ext", "s^-3 bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "6"], 2,
+         "must be non-negative"),
+        (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "0"], 2, "--jobs must be at least 1"),
+        (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "-4"], 2, "--jobs must be at least 1"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
-         "h8-s0", "h8-t2", "h8v18-t20"],
+         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "jobs-zero", "jobs-negative"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     """Each input either runs or is a usage error (exit 2, no traceback)
@@ -429,19 +435,49 @@ def test_v18_selection_needs_its_window_resolved():
             cli._h8v18_cone(res, resolution.cone(res, *cli.H8_CLASS))
 
 
+def _png_scanlines(data: bytes) -> bytes:
+    """The zlib-decompressed IDAT stream of a PNG file: its filtered scanlines,
+    the same for every zlib build."""
+    idat, pos = [], 8
+    while pos < len(data):
+        length = int.from_bytes(data[pos : pos + 4], "big")
+        if data[pos + 4 : pos + 8] == b"IDAT":
+            idat.append(data[pos + 8 : pos + 8 + length])
+        pos += 12 + length
+    return zlib.decompress(b"".join(idat))
+
+
+# sha256 of the windowed f2 chart over A(1): the TSV, the SVG and the PNG's
+# decoded scanlines, all three clipped to stems 3..9
+PINNED_WINDOW_CHART = {
+    "tsv": "9900a921cfcf08f5da7b03a7d75d6d955e05a67437994f90b592c02f19e7d741",
+    "svg": "eff5c4d5dcd5ea4ec5186ec5214122231d5df15ea2578c3815a1717fd15b0f49",
+    "png": "0426f0203fb27700a8fb9d01f304b5acae95ddbedc1389489936d80dbf86f6e4",
+}
+
+
 def test_ext_window_filter(tmp_path, capsys):
     code, out, _ = run(
         [
             "ext", "f2", "--algebra", "A1", "--max-s", "6", "--max-stem", "12",
             "--window", "3..9", "--cache-dir", str(tmp_path), "--out", str(tmp_path),
-            "--no-png",
+            "--svg",
         ],
         capsys,
     )
     assert code == 0
-    rows = (tmp_path / "ext-f2-A1-s6-t18-w3-9.tsv").read_text().splitlines()[1:]
+    base = tmp_path / "ext-f2-A1-s6-t18-w3-9"
+    rows = base.with_suffix(".tsv").read_text().splitlines()[1:]
     stems = [int(r.split("\t")[0]) for r in rows]
     assert stems and all(3 <= v <= 9 for v in stems)
+    classes = sum(int(r.split("\t")[2]) for r in rows)
+    assert f"chart f2: {classes} classes in {len(rows)} bidegrees" in out
+    digests = {
+        "tsv": base.with_suffix(".tsv").read_bytes(),
+        "svg": base.with_suffix(".svg").read_bytes(),
+        "png": _png_scanlines(base.with_suffix(".png").read_bytes()),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == PINNED_WINDOW_CHART
 
 
 def test_ext_window_beyond_bound_is_usage_error(tmp_path, capsys):

@@ -12,10 +12,14 @@ from extforge import milnor, resolution
 from extforge.milnor import MilnorElement, Profile
 
 
+def _dimension(profile):
+    return sum(len(milnor.basis_in_degree(profile, n)) for n in range(profile.top_degree() + 1))
+
+
 def test_profile_dimensions():
-    assert milnor.A1.dimension() == 8
-    assert milnor.A2.dimension() == 64
-    assert milnor.A3.dimension() == 2 ** (4 + 3 + 2 + 1)
+    assert _dimension(milnor.A1) == 8
+    assert _dimension(milnor.A2) == 64
+    assert _dimension(milnor.A3) == 2 ** (4 + 3 + 2 + 1)
     assert milnor.A1.top_degree() == 6
     assert milnor.A2.top_degree() == 23
     assert milnor.FULL.is_full

@@ -4,7 +4,12 @@ Every public module-level function or class of ``src/extforge`` and every
 public method needs a reference from ``src/`` or ``perfbench/`` outside its
 own definition, or an entry in ``KEEP`` with the reason it stays.  A
 reference is a name, an attribute, an imported name or a dotted string
-naming it (``perfbench/traced.py`` wraps functions by their names).
+naming it (``perfbench/traced.py`` wraps functions by their names); a
+string without a dot, such as a subcommand name, is not a reference.
+
+References are matched by short name only, so one blind spot remains: a
+method passes whenever any method or function with the same short name
+is called, even one of another class.
 """
 
 import ast
@@ -21,12 +26,14 @@ KEEP = {
     "resolution.cells_of_tensor": "acceptance API: criterion-03 counts tensor cells with it",
     "bgpoly.a1_vanishing_filter": "acceptance API: criterion-09 checks the A(1) vanishing line",
     "resolution.FreeResolution.verify_exact": "checker that ROADMAP direction 3 gives a program caller",
+    "resolution.ChainMap.verify": "checker that ROADMAP direction 3 gives a program caller",
     "modules.FiniteModule.verify_action": "checker that ROADMAP direction 3 gives a program caller",
     "modules.dualize": "the module dual ROADMAP direction 5's second route resolves",
     "cobar.admissible_milnor_coordinates": "reference: tests compare Adem words with Milnor pairings",
     "cobar.adem_straighten": "reference: feeds admissible_milnor_coordinates in the tests",
     "cobar.bo1_comodule": "reference: tests compare the module bridge with it",
     "gf2.Solver.pivot_columns": "reference: tests check the elimination's pivots with it",
+    "gf2.BitMatrix.from_support": "reference: the chart JSON test decodes product matrices with it",
     "milnor.MilnorElement.sq": "reference: tests name known products with it",
     "charts.parse_tsv": "reference: the TSV round-trip tests read the writer's output with it",
 }
@@ -42,7 +49,7 @@ def _references(tree: ast.AST, path: Path) -> list[tuple[Path, int, str]]:
         elif isinstance(node, ast.ImportFrom):
             out.extend((path, node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            if re.fullmatch(r"[A-Za-z_]\w*(?:\.\w+)+", node.value):
                 out.extend((path, node.lineno, part) for part in node.value.split("."))
     return out
 
