@@ -9,7 +9,7 @@ of the E1-page of the exact-sequence spectral sequences, plus residual terms
 computed over the smaller subalgebra A(1) which the polynomial bookkeeping
 deliberately drops; a1_vanishing_filter says where those residual terms
 provably vanish.  SummandDescriptor reads one monomial as its chart summand.
-Everything here is exact integer and rational arithmetic; no chart
+Everything here is exact integer arithmetic; no chart
 computation happens in this module.
 
 Conventions: s is the homological shift variable, t the 8-fold suspension
@@ -19,10 +19,10 @@ spot (s, t) to (s-k, t-8l-k) on the bo_1^{(x)m} chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .records import record
 
 Monomial = tuple[int, int, int]  # (k, l, m): s^k t^l x^m
 
@@ -43,8 +43,8 @@ def _ones_left_of_rightmost_zero(i: int) -> int:
     return _popcount(i >> (pos + 1))
 
 
-@dataclass(frozen=True)
-class BGPolynomial:
+@record
+class BGPolynomial(NamedTuple):
     """Finitely supported non-negative integer combination of s^k t^l x^m."""
 
     coefficients: tuple[tuple[Monomial, int], ...]
@@ -136,8 +136,8 @@ def f_multi(I: Sequence[int]) -> BGPolynomial:
     return out
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+@record
+class LemmaReport(NamedTuple):
     """Pass/fail record of the four dyadic facts about f_i."""
 
     i: int
@@ -162,8 +162,8 @@ def check_lemma(i: int) -> LemmaReport:
     return LemmaReport(i, weight_ok, mod_s_ok, x_degree_ok, s_degree_ok)
 
 
-@dataclass(frozen=True)
-class SummandDescriptor:
+@record
+class SummandDescriptor(NamedTuple):
     """One monomial s^k t^l x^m of f_I, read as a chart summand."""
 
     suspension: int  # 8l + k
@@ -178,5 +178,6 @@ class SummandDescriptor:
 
 
 def a1_vanishing_filter(t_minus_s: int, s: int) -> bool:
-    """True exactly when s > (1/7)(t-s) + 51/7, in exact arithmetic."""
-    return Fraction(s) > Fraction(t_minus_s, 7) + Fraction(51, 7)
+    """True exactly when s > (1/7)(t-s) + 51/7, compared exactly as
+    7s > (t-s) + 51."""
+    return 7 * s > t_minus_s + 51

@@ -12,9 +12,9 @@ read from the ``[cell]`` tag the engine puts in class labels; a class
 without a tag is a solid dot.
 
 Every renderer takes an optional stem window ``stem_range`` = (lo, hi),
-and :func:`shown_dims` is the one step that applies it: it picks the
-nonzero bidegrees the TSV rows, the layout and the command's class count
-all read.
+and ``resolution.shown_dims`` is the one step that applies it: it picks
+the nonzero bidegrees the TSV rows, the layout and the command's class
+count all read.
 
 One layout step (:func:`chart_layout`) places the axes, tick numbers,
 product lines and glyphs; the SVG and PNG renderers only emit it.  The
@@ -33,11 +33,11 @@ import math
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .resolution import NAMED_CLASS_BIDEGREES
+from .records import record
+from .resolution import NAMED_CLASS_BIDEGREES, shown_dims
 
 UNIT = 18  # SVG units between adjacent stems or filtrations
 MARGIN = 36  # SVG units around the plotted grid
@@ -56,23 +56,18 @@ def _glyph_for(label: str) -> str:
     return _CELL_GLYPHS.get(m.group(1), "solid-dot") if m else "solid-dot"
 
 
-def shown_dims(chart, stem_range: Optional[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """The nonzero dims of a chart whose stems lie in ``stem_range`` (all if
-    None), in (stem, filtration) order."""
-    return {
-        (s, t): chart.dims[(s, t)]
-        for s, t in sorted(chart.dims, key=lambda k: (k[1] - k[0], k[0]))
-        if chart.dims[(s, t)] and (stem_range is None or stem_range[0] <= t - s <= stem_range[1])
-    }
-
-
-@dataclass
 class TsvChart:
     """Minimal chart holder produced by parse_tsv; enough to re-render."""
 
-    dims: dict[tuple[int, int], int] = field(default_factory=dict)
-    labels: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict)
-    products: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        dims: Optional[dict[tuple[int, int], int]] = None,
+        labels: Optional[dict[tuple[int, int], tuple[str, ...]]] = None,
+        products: Optional[dict] = None,
+    ):
+        self.dims = {} if dims is None else dims
+        self.labels = {} if labels is None else labels
+        self.products = {} if products is None else products
 
 
 TSV_HEADER = "stem\tfiltration\tdim\tlabels"
@@ -143,8 +138,8 @@ def _glyph_element(glyph: str, x: float, y: float, r: float, title: str) -> str:
     raise ValueError(f"unknown glyph {glyph!r}")
 
 
-@dataclass(frozen=True)
-class ChartLayout:
+@record
+class ChartLayout(NamedTuple):
     """Everything a chart renderer draws, in SVG user units (y grows down).
 
     axes are (x1, y1, x2, y2) integer segments; ticks are (text, x, y,

@@ -19,9 +19,16 @@ sharing a cache directory see either the whole old file or the whole new
 one.
 
 Each subcommand imports the engine modules it runs when it runs, so
-``--version`` loads none of them and ``bgpoly`` loads only ``bgpoly``.
+``--version`` loads none of them, ``bgpoly`` loads only ``bgpoly``, and
+``ext`` loads the chart renderers only when it writes a TSV, SVG or PNG.
 Engine names are bound at call time, never at import time, which is what
-lets ``perfbench/traced.py`` wrap them after importing every module.
+lets ``perfbench/traced.py`` wrap them after importing every module.  The
+package's records are NamedTuples and plain classes, which compile no
+generated methods, so no command imports ``inspect`` (with ``ast``) or
+``fractions``.
+
+``--jobs N`` applies to ``ext`` and ``verify`` only.  ``--window`` narrows
+the rendered formats only, so ``--format json`` refuses it.
 
 Exit codes: 0 success, 1 verification/cache failure, 2 usage error.
 """
@@ -36,6 +43,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
+from .records import record
 
 if TYPE_CHECKING:
     from .milnor import Profile
@@ -164,12 +172,14 @@ def resolve_cached(
 # coefficient descriptors
 
 
+@record
 class Factor(NamedTuple):
     atom: str
     arg: Optional[int]
     suspension: int
 
 
+@record
 class DescriptorPlan(NamedTuple):
     cell: Optional[str]  # None | "h8" | "h8v18"
     factors: tuple[Factor, ...]
@@ -419,8 +429,6 @@ def cmd_resolve(args: argparse.Namespace) -> int:
 
 
 def cmd_ext(args: argparse.Namespace) -> int:
-    from . import charts
-
     plan = parse_descriptor(args.descriptor)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     max_s = args.max_s
@@ -431,6 +439,8 @@ def cmd_ext(args: argparse.Namespace) -> int:
     else:
         max_t = 30 + max_s
     window = _window_of(args.window)
+    if window is not None and args.format == "json":
+        raise UsageError("--window restricts the rendered stems; a JSON document holds the whole chart")
     if window is not None and window[1] > max_t - max_s:
         raise UsageError(
             f"window {args.window} exceeds the computed stem bound {max_t - max_s}; "
@@ -456,6 +466,8 @@ def cmd_ext(args: argparse.Namespace) -> int:
     formats = {args.format}
     if args.svg:
         formats.add("svg")
+    if formats & {"tsv", "svg"}:
+        from . import charts
     if "tsv" in formats:
         tsv_path = out_dir / f"{base}.tsv"
         tsv_path.write_text(charts.render_tsv(chart, window))
@@ -476,7 +488,9 @@ def cmd_ext(args: argparse.Namespace) -> int:
         json_path = out_dir / f"{base}.json"
         json_path.write_text(json.dumps(doc, indent=1, sort_keys=True))
         written.append(json_path)
-    shown = charts.shown_dims(chart, window)
+    from .resolution import shown_dims
+
+    shown = shown_dims(chart, window)
     _say(f"chart {plan.text}: {sum(shown.values())} classes in {len(shown)} bidegrees")
     for path in written:
         _say(f"wrote {path}")
@@ -757,13 +771,15 @@ def _say(msg: str) -> None:
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None, help=f"cache directory (default ${CACHE_ENV_VAR} or ~/.cache/extforge)")
     p.add_argument("--force", action="store_true", help="recompute even on cache hit or corruption")
+
+
+def _add_jobs_flag(p: argparse.ArgumentParser, work: str) -> None:
     p.add_argument(
         "--jobs",
         type=int,
         default=1,
         metavar="N",
-        help="threads for ext's tensor factors and verify's suites; output is the same "
-        "for every N, and N > 1 measured slower on 2 CPUs",
+        help=f"threads for {work}; output is the same for every N, and N > 1 measured slower on 2 CPUs",
     )
 
 
@@ -794,6 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--no-png", action="store_true", help="skip the PNG figure next to the TSV")
     p_ext.add_argument("--out", default=".", help="output directory")
     _add_cache_flags(p_ext)
+    _add_jobs_flag(p_ext, "the tensor factors of the coefficients")
     p_ext.set_defaults(func=cmd_ext)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -801,6 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite-max-s", type=int, default=None, help="filtration bound (oracle)")
     p_ver.add_argument("--suite-max-stem", type=int, default=None, help="stem bound (oracle)")
     _add_cache_flags(p_ver)
+    _add_jobs_flag(p_ver, "the suites")
     p_ver.set_defaults(func=cmd_verify)
 
     p_bg = sub.add_parser("bgpoly", help="print a Brown-Gitler polynomial and its summands")

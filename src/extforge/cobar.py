@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import gf2
 from .milnor import Profile
+from .records import record
 
 MAX_S = 7
 MAX_STEM = 14
@@ -164,8 +164,8 @@ def reduced_coproduct(profile: Profile, mono: Monomial) -> tuple[TensorTerm, ...
 # comodules
 
 
-@dataclass(frozen=True)
-class Comodule:
+@record
+class Comodule(NamedTuple):
     """Finite left comodule given by a reduced coaction table.
 
     coaction[i] lists the terms xibar^e (x) basis[j] of psi(basis[i]) with

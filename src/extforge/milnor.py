@@ -16,22 +16,33 @@ degree, which is the form the resolution engine's multiplication tables use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
+
+from .records import record
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Exponent profile of a sub-Hopf algebra; ``None`` means the full algebra."""
-
+class _ProfileFields(NamedTuple):
     exponents: Optional[tuple[int, ...]]
 
-    def __post_init__(self):
-        if self.exponents is not None:
-            if any(h <= 0 for h in self.exponents):
+
+@record
+class Profile(_ProfileFields):
+    """Exponent profile of a sub-Hopf algebra; ``None`` means the full algebra."""
+
+    __slots__ = ()
+
+    def __new__(cls, exponents: Optional[Iterable[int]]) -> "Profile":
+        if exponents is not None:
+            exponents = tuple(exponents)
+            if any(h <= 0 for h in exponents):
                 raise ValueError("profile exponents must be positive")
-            object.__setattr__(self, "exponents", tuple(self.exponents))
+        return tuple.__new__(cls, (exponents,))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Profile":
+        # so that _replace checks its result too
+        return cls(*fields)
 
     @staticmethod
     def full() -> "Profile":
@@ -142,22 +153,44 @@ def monomial_sort_key(mono: tuple[int, ...]):
     return (len(mono), mono)
 
 
-@dataclass(frozen=True)
-class MilnorElement:
-    """A mod-2 sum of Milnor monomials, all of one degree, over one algebra."""
-
+class _MilnorFields(NamedTuple):
     algebra: Profile
     terms: frozenset[tuple[int, ...]]
+    degree: Optional[int]  # of every term; None for the zero element
 
-    def __post_init__(self):
-        degs = {monomial_degree(m) for m in self.terms}
+
+@record
+class MilnorElement(_MilnorFields):
+    """A mod-2 sum of Milnor monomials, all of one degree, over one algebra.
+
+    Built as ``MilnorElement(algebra, terms)``; the degree is computed once,
+    by the same check that rejects mixed degrees, and kept as a field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, algebra: Profile, terms: frozenset[tuple[int, ...]]) -> "MilnorElement":
+        degs = {monomial_degree(m) for m in terms}
         if len(degs) > 1:
             raise ValueError(f"mixed degrees {sorted(degs)}")
-        for m in self.terms:
+        for m in terms:
             if m != normalize_monomial(m):
                 raise ValueError(f"unnormalized monomial {m}")
-            if not self.algebra.admits(m):
-                raise ValueError(f"{m} violates profile {self.algebra.describe()}")
+            if not algebra.admits(m):
+                raise ValueError(f"{m} violates profile {algebra.describe()}")
+        return tuple.__new__(cls, (algebra, terms, degs.pop() if degs else None))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "MilnorElement":
+        # so that _replace checks its result and recomputes the degree
+        algebra, terms, *_ = fields
+        return cls(algebra, terms)
+
+    def __getnewargs__(self):
+        return self.algebra, self.terms
+
+    def __repr__(self) -> str:
+        return f"MilnorElement(algebra={self.algebra!r}, terms={self.terms!r})"
 
     @staticmethod
     def unit(algebra: Profile) -> "MilnorElement":
@@ -170,12 +203,6 @@ class MilnorElement:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def degree(self) -> Optional[int]:
-        for m in self.terms:
-            return monomial_degree(m)
-        return None
 
     def sorted_terms(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.terms, key=monomial_sort_key))

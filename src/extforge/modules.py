@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import gf2
 from .milnor import (
@@ -38,6 +37,7 @@ from .milnor import (
     normalize_monomial,
     psi_dual_monomial,
 )
+from .records import record
 
 
 class ComoduleError(ValueError):
@@ -100,15 +100,15 @@ def conjugate_dual_monomial(profile: Profile, mono: tuple[int, ...]) -> frozense
     return frozenset(result)
 
 
-@dataclass(frozen=True)
-class BasisElement:
+@record
+class BasisElement(NamedTuple):
     label: str
     degree: int
     weight: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class PoincareSeries:
+@record
+class PoincareSeries(NamedTuple):
     """Finitely supported degree -> count map."""
 
     coefficients: tuple[tuple[int, int], ...]
@@ -509,8 +509,8 @@ def abar_truncation(max_degree: int, algebra: Profile = A2) -> FiniteModule:
 # ----- verification reports -----
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+@record
+class SplittingReport(NamedTuple):
     max_degree: int
     ok: bool
     first_discrepancy: Optional[int]
@@ -554,8 +554,8 @@ def verify_splitting(max_degree: int) -> SplittingReport:
     )
 
 
-@dataclass(frozen=True)
-class BoSequenceReport:
+@record
+class BoSequenceReport(NamedTuple):
     j: int
     even_ok: bool
     odd_ok: bool

@@ -26,13 +26,15 @@ some representative vanishes on all generators of higher cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import gf2
 from .milnor import MilnorElement, Profile, _degree_products, basis_in_degree
 from .modules import FiniteModule
+from .records import record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RESOLUTION_FORMAT_VERSION = 1
 
@@ -91,15 +93,15 @@ def _segments(bits: int, offsets: Sequence[int], total: int):
 # ----- free complexes -----
 
 
-@dataclass(frozen=True)
-class Cell:
+@record
+class Cell(NamedTuple):
     label: str
     stem: int
     filt: int
 
 
-@dataclass(frozen=True)
-class Gen:
+@record
+class Gen(NamedTuple):
     t: int
     cell: int
 
@@ -107,8 +109,8 @@ class Gen:
 DiffRow = tuple[tuple[int, MilnorElement], ...]
 
 
-@dataclass(frozen=True)
-class AttachingRecord:
+@record
+class AttachingRecord(NamedTuple):
     s0: int
     t0: int
     class_coords: tuple[int, ...]
@@ -350,27 +352,37 @@ def minimal_resolution(algebra: Profile, max_s: int, max_t: int) -> FreeResoluti
 # ----- Ext charts -----
 
 
-@dataclass
 class ExtChart:
-    algebra: str
-    coefficients: str
-    max_s: int
-    max_t: int
-    dims: dict[tuple[int, int], int] = field(default_factory=dict)
-    labels: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    cells: tuple[Cell, ...] = ()
-    products: dict[str, dict[tuple[int, int], gf2.BitMatrix]] = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
-    # runtime-only handles for product installation and class arithmetic;
-    # reps holds class representatives by spot: ext_over_complex builds them
-    # for multi-cell charts with provenance, and products build the rest on
-    # demand (_class_reps)
-    source: Optional[FreeComplex] = field(default=None, repr=False, compare=False)
-    module: Optional[FiniteModule] = field(default=None, repr=False, compare=False)
-    reps: dict[tuple[int, int], "CohomologyLocal"] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    """Ext dimensions, class labels, cell provenance and product matrices by
+    bidegree (s, t); the maps start empty and the builders fill them."""
+
+    def __init__(
+        self,
+        algebra: str,
+        coefficients: str,
+        max_s: int,
+        max_t: int,
+        cells: tuple[Cell, ...] = (),
+        source: Optional[FreeComplex] = None,
+        module: Optional[FiniteModule] = None,
+    ):
+        self.algebra = algebra
+        self.coefficients = coefficients
+        self.max_s = max_s
+        self.max_t = max_t
+        self.dims: dict[tuple[int, int], int] = {}
+        self.labels: dict[tuple[int, int], tuple[str, ...]] = {}
+        self.provenance: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.cells = cells
+        self.products: dict[str, dict[tuple[int, int], gf2.BitMatrix]] = {}
+        self.notes: dict = {}
+        # runtime-only handles for product installation and class arithmetic;
+        # reps holds class representatives by spot: ext_over_complex builds
+        # them for multi-cell charts with provenance, and products build the
+        # rest on demand (_class_reps)
+        self.source = source
+        self.module = module
+        self.reps: dict[tuple[int, int], CohomologyLocal] = {}
 
     def dim(self, s: int, t: int) -> int:
         return self.dims.get((s, t), 0)
@@ -396,13 +408,24 @@ class ExtChart:
         }
 
 
-@dataclass
+def shown_dims(chart, stem_range: Optional[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The nonzero dims of a chart whose stems lie in ``stem_range`` (all if
+    None), in (stem, filtration) order: the one window step that the chart
+    renderers and the ``ext`` command's class count share."""
+    return {
+        (s, t): chart.dims[(s, t)]
+        for s, t in sorted(chart.dims, key=lambda k: (k[1] - k[0], k[0]))
+        if chart.dims[(s, t)] and (stem_range is None or stem_range[0] <= t - s <= stem_range[1])
+    }
+
+
 class CohomologyLocal:
     """Coboundaries and canonical class representatives at (s,t); vectors
     are ints, bit c = coordinate c."""
 
-    boundary_span: gf2.IncrementalSpan
-    rep_vectors: tuple[int, ...]
+    def __init__(self, boundary_span: gf2.IncrementalSpan, rep_vectors: tuple[int, ...]):
+        self.boundary_span = boundary_span
+        self.rep_vectors = rep_vectors
 
     @property
     def dim(self) -> int:
@@ -777,7 +800,6 @@ def _precompose(
 # ----- chain maps and lifting -----
 
 
-@dataclass
 class ChainMap:
     """Chain self-map of bidegree (s0, t0), stored per generator.
 
@@ -786,10 +808,11 @@ class ChainMap:
     degree t_i - t0.
     """
 
-    source: FreeComplex
-    s0: int
-    t0: int
-    rows: dict[tuple[int, int], int]
+    def __init__(self, source: FreeComplex, s0: int, t0: int, rows: dict[tuple[int, int], int]):
+        self.source = source
+        self.s0 = s0
+        self.t0 = t0
+        self.rows = rows
 
     def verify(self) -> None:
         cplx = self.source
@@ -923,8 +946,8 @@ def _lift_level_with_correction(cm: ChainMap, s: int) -> None:
 # ----- chart classes and Yoneda products -----
 
 
-@dataclass(frozen=True)
-class ChartClass:
+@record
+class ChartClass(NamedTuple):
     chart: ExtChart
     s: int
     t: int
@@ -1092,8 +1115,8 @@ def cells_of_tensor(x: FreeComplex, y: FreeComplex) -> tuple[tuple[int, int], ..
 # ----- self-map selection -----
 
 
-@dataclass(frozen=True)
-class SelfMapSelection:
+@record
+class SelfMapSelection(NamedTuple):
     """Outcome of picking a self-map class by bottom-cell restriction.
 
     ``candidate_dim`` and ``window_matching_dim`` describe the windowed
@@ -1269,8 +1292,8 @@ def attaching_action(
 # ----- long exact sequence consistency -----
 
 
-@dataclass(frozen=True)
-class LesReport:
+@record
+class LesReport(NamedTuple):
     checked: int
     failures: tuple[tuple[int, int, int, int], ...]  # (s, t, cone dim, predicted)
 
@@ -1315,9 +1338,14 @@ def les_consistency(
     return LesReport(checked, tuple(failures))
 
 
-def vanishing_edge(chart: ExtChart, slope: Fraction = Fraction(1, 5), min_stem: int = 0) -> Fraction:
+def vanishing_edge(chart: ExtChart, slope: Optional[Fraction] = None, min_stem: int = 0) -> Fraction:
     """Largest s - slope*(t-s) over nonzero bidegrees: the chart's support
-    satisfies s <= slope*stem + edge for stems past min_stem."""
+    satisfies s <= slope*stem + edge for stems past min_stem.  The slope
+    defaults to 1/5."""
+    from fractions import Fraction
+
+    if slope is None:
+        slope = Fraction(1, 5)
     best: Optional[Fraction] = None
     for (s, t) in chart.dims:
         stem = t - s

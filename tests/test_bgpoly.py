@@ -74,6 +74,16 @@ def test_vanishing_filter_examples():
     assert not bgpoly.a1_vanishing_filter(19, 10)  # 19/7 + 51/7 = 10 exactly
 
 
+def test_vanishing_filter_matches_the_rational_inequality():
+    # the integer form 7s > stem + 51 against s > stem/7 + 51/7 in fractions,
+    # on a grid holding every point the line passes through up to stem 200,
+    # (19, 10) among them
+    for stem in range(201):
+        for s in range(61):
+            want = Fraction(s) > Fraction(stem, 7) + Fraction(51, 7)
+            assert bgpoly.a1_vanishing_filter(stem, s) == want, (stem, s)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 300), st.integers(0, 80))
 def test_vanishing_filter_monotone_in_s(stem, s):

@@ -214,14 +214,16 @@ def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, mo
 
 
 _ENGINE = {f"extforge.{m}" for m in ("gf2", "milnor", "modules", "resolution", "charts", "cobar", "bgpoly")}
-_RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip", "dataclasses"}
-# command -> the modules of _ENGINE, gzip, dataclasses and concurrent.futures
-# it may import
+_RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip"}
+# command -> the modules of _ENGINE, gzip and concurrent.futures it may import
 _COMMAND_IMPORTS = [
     (["--version"], set()),
-    (["bgpoly", "6"], {"extforge.bgpoly", "dataclasses"}),
+    (["bgpoly", "6"], {"extforge.bgpoly"}),
+    (["verify", "bg-lemma"], {"extforge.bgpoly"}),
     (["resolve", "--algebra", "A1", "--max-s", "3", "--max-t", "8"], _RESOLVER),
     (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "4", "--no-png"], _RESOLVER | {"extforge.charts"}),
+    # JSON renders nothing, so it loads no chart renderer
+    (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "4", "--format", "json"], _RESOLVER),
 ]
 
 
@@ -241,11 +243,13 @@ def test_numpy_stays_out_of_the_package(tmp_path):
         assert "extforge" in roots and "numpy" not in roots, argv
         # the cache needs neither OpenSSL's hashes nor file locks
         assert not roots & {"hashlib", "_hashlib", "fcntl"}, (argv, sorted(roots))
-        # each command loads only the engine modules it runs, a thread pool
-        # only for --jobs > 1, and dataclasses (with inspect and ast) only
-        # with the engine
-        forbidden = (_ENGINE | {"gzip", "concurrent.futures", "dataclasses"}) - allowed
+        # each command loads only the engine modules it runs and a thread
+        # pool only for --jobs > 1; records are NamedTuples and plain
+        # classes, so no command compiles dataclasses (with inspect and ast),
+        # and no command needs fractions
+        forbidden = (_ENGINE | {"gzip", "concurrent.futures"}) - allowed
         assert not imported & forbidden, (argv, sorted(imported & forbidden))
+        assert not imported & {"dataclasses", "inspect", "fractions"}, (argv, sorted(imported))
 
 
 def test_cache_dir_env_var(tmp_path, monkeypatch, capsys):
@@ -394,9 +398,13 @@ def test_cone_charts_match_the_deeper_resolutions(
          "must be non-negative"),
         (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "0"], 2, "--jobs must be at least 1"),
         (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "-4"], 2, "--jobs must be at least 1"),
+        # the window applies to rendered charts; the JSON document is always whole
+        (["ext", "f2", "--algebra", "A1", "--max-s", "6", "--max-stem", "12", "--window", "3..9",
+          "--format", "json"], 2, "a JSON document holds the whole chart"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
-         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "jobs-zero", "jobs-negative"],
+         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "jobs-zero", "jobs-negative",
+         "window-json"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     """Each input either runs or is a usage error (exit 2, no traceback)
@@ -409,6 +417,16 @@ def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     assert message in err and "Traceback" not in err
     if code == 2:
         assert not cache.exists() or not os.listdir(cache)
+
+
+def test_resolve_takes_no_jobs(tmp_path, capsys):
+    # only ext and verify have work to spread over threads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["resolve", "--algebra", "A1", "--max-s", "2", "--max-t", "5", "--jobs", "3",
+                  "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 # sha256 of one-cell module charts as written before these charts took

@@ -1,7 +1,5 @@
 """Reduced-cobar oracle: coalgebra identities, Cotor examples, Adem pairing."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,7 +195,7 @@ def test_d_squared_check_catches_a_broken_coaction():
     rows = list(bo1.coaction)
     rows[3] = tuple(term for term in rows[3] if term != ((0, 1), 1))
     assert len(rows[3]) == len(bo1.coaction[3]) - 1
-    broken = dataclasses.replace(bo1, coaction=tuple(rows))
+    broken = bo1._replace(coaction=tuple(rows))
     cx = cobar.CobarComplex(milnor.A1, broken, max_t=10)
     assert _reference_d_squared_nonzero(cx, 0, 7)
     with pytest.raises(AssertionError, match=r"d\^2 != 0 on \(3,\) at \(s,t\)=\(0,7\)"):

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,7 +336,7 @@ def _permute_module_in_degree(M: modules.FiniteModule, degree: int):
     """
     basis = list(M.basis)
     a, b = [i for i, e in enumerate(basis) if e.degree == degree][:2]
-    basis[a], basis[b] = replace(basis[a], label=basis[b].label), replace(basis[b], label=basis[a].label)
+    basis[a], basis[b] = basis[a]._replace(label=basis[b].label), basis[b]._replace(label=basis[a].label)
     permuted = modules.FiniteModule(M.algebra, basis, M.coaction)
     assert permuted.basis == M.basis
     assert permuted.coaction != M.coaction, "the permutation left the coaction unchanged"
