@@ -27,8 +27,12 @@ package's records are NamedTuples and plain classes, which compile no
 generated methods, so no command imports ``inspect`` (with ``ast``) or
 ``fractions``.
 
-``--jobs N`` applies to ``ext`` and ``verify`` only.  ``--window`` narrows
-the rendered formats only, so ``--format json`` refuses it.
+``--jobs N`` applies to ``ext`` only.  ``--window`` narrows the rendered
+formats only, so ``--format json`` refuses it.
+
+``verify all`` runs the cobar oracle in a second ``ext-forge`` process when
+two or more CPUs are usable, and the other suites in this one; its output
+is the same bytes either way.
 
 Exit codes: 0 success, 1 verification/cache failure, 2 usage error.
 """
@@ -46,6 +50,8 @@ from . import __version__
 from .records import record
 
 if TYPE_CHECKING:
+    import subprocess
+
     from .milnor import Profile
     from .modules import FiniteModule
     from .resolution import ExtChart, FreeComplex, FreeResolution, SelfMapSelection
@@ -61,6 +67,10 @@ class UsageError(ValueError):
 
 class CacheError(RuntimeError):
     pass
+
+
+class SuiteError(RuntimeError):
+    """A verify suite that ran to no result."""
 
 
 def algebra_profile(name: str) -> Profile:
@@ -108,7 +118,7 @@ def write_cache_entry(cache_dir: Path, key: str, payload_doc: dict) -> Path:
 
 def read_cache_entry(cache_dir: Path, key: str) -> Optional[dict]:
     """Load one entry; None when absent, CacheError when gzip's CRC-32 or
-    length check, or the JSON inside, fails."""
+    length check, or the JSON inside, fails, or that JSON is not an object."""
     import gzip
     import json
     import zlib
@@ -118,11 +128,16 @@ def read_cache_entry(cache_dir: Path, key: str) -> Optional[dict]:
     except FileNotFoundError:
         return None
     try:
-        return json.loads(gzip.decompress(raw))
+        doc = json.loads(gzip.decompress(raw))
     except (gzip.BadGzipFile, EOFError, zlib.error, ValueError) as exc:
         raise CacheError(
             f"corrupt cache entry {key} ({exc}); rerun with --force to recompute"
         ) from exc
+    if not isinstance(doc, dict):
+        raise CacheError(
+            f"corrupt cache entry {key} (its JSON is not an object); rerun with --force to recompute"
+        )
+    return doc
 
 
 def resolve_cached(
@@ -237,6 +252,8 @@ def parse_descriptor(text: str) -> DescriptorPlan:
                 raise UsageError(f"bad index in {name!r}") from exc
             if arg <= 0:
                 raise UsageError(f"index in {name!r} must be positive")
+            if head == "abar" and arg < 8:
+                raise UsageError(f"the cutoff in {name!r} must be at least 8, the first positive degree")
             factors.append(Factor(head, arg, susp))
             continue
         if name in ("f2", "a2qa1"):
@@ -636,7 +653,6 @@ def _fallback_window_spots() -> dict[str, tuple[int, int, int]]:
 
 
 LES_MAX_S, LES_MAX_T = 12, 44  # the les chart; the vanishing windows reach t = 48
-_H8_CONE_LOCK = threading.Lock()
 
 
 def _h8_cone_over_a2(args: argparse.Namespace) -> tuple[FreeResolution, FreeComplex]:
@@ -644,14 +660,13 @@ def _h8_cone_over_a2(args: argparse.Namespace) -> tuple[FreeResolution, FreeComp
     vanishing-windows suites share: built once per verify run."""
     from .resolution import cone
 
-    with _H8_CONE_LOCK:  # verify --jobs runs the suites in threads
-        if not hasattr(args, "h8_cone"):
-            windows_s = max(s for _, s, _ in _fallback_window_spots().values())
-            depth = max(_resolution_depth("h8", LES_MAX_S), _resolution_depth("h8v18", windows_s))
-            cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-            res, _ = resolve_cached("A2", depth, 48, cache_dir, force=args.force, log=_say)
-            args.h8_cone = res, cone(res, *H8_CLASS)
-        return args.h8_cone
+    if not hasattr(args, "h8_cone"):
+        windows_s = max(s for _, s, _ in _fallback_window_spots().values())
+        depth = max(_resolution_depth("h8", LES_MAX_S), _resolution_depth("h8v18", windows_s))
+        cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+        res, _ = resolve_cached("A2", depth, 48, cache_dir, force=args.force, log=_say)
+        args.h8_cone = res, cone(res, *H8_CLASS)
+    return args.h8_cone
 
 
 def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
@@ -727,6 +742,55 @@ SUITES: dict[str, Callable[[argparse.Namespace], list[VerifyItem]]] = {
 _H8_CONE_SUITES = ("les", "vanishing-windows")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_oracle(max_s: int, max_stem: int) -> subprocess.Popen[str]:
+    """``verify oracle`` in a second process; its stdout is piped back and
+    its stderr is this process's."""
+    import subprocess
+
+    # the child imports the package this process runs, installed or not,
+    # and nothing else outside the standard library, so it skips the site
+    # hooks (-S)
+    root = str(Path(__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-S", "-m", "extforge.cli", "verify", "oracle",
+            "--suite-max-s", str(max_s), "--suite-max-stem", str(max_stem)]
+    return subprocess.Popen(argv, stdout=subprocess.PIPE, env=env, text=True)
+
+
+def _oracle_items(child: subprocess.Popen[str]) -> list[VerifyItem]:
+    """The oracle's items, read back from the report its process printed."""
+    out, _ = child.communicate()
+    if child.returncode not in (0, 1):
+        raise SuiteError(f"verify oracle, run in a second process, exited with code {child.returncode}")
+    lines = out.splitlines()
+    items: list[VerifyItem] = []
+    for line in lines[:-1]:
+        status, _, rest = line.partition("\t")
+        item, _, detail = rest.partition("\t")
+        items.append((item, status == "ok", detail))
+    # a line that does not parse, or a summary that miscounts, prints back differently
+    if _report(items) != lines or child.returncode != (0 if all(ok for _, ok, _ in items) else 1):
+        raise SuiteError(
+            f"verify oracle, run in a second process, exited with code {child.returncode} "
+            f"after {len(lines)} lines that are not its report"
+        )
+    return items
+
+
+def _report(results: list[VerifyItem]) -> list[str]:
+    """One line per item, then the summary line."""
+    failures = sum(1 for _, ok, _ in results if not ok)
+    lines = [f"{'ok' if ok else 'FAIL'}\t{item}\t{detail}" for item, ok, detail in results]
+    lines.append(f"{'ok' if not failures else 'FAIL'}\tsummary\t{len(results) - failures}/{len(results)} checks passed")
+    return lines
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
         names = sorted(SUITES)
@@ -734,30 +798,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)} or all")
+    child = None
     if "oracle" in names:
-        _oracle_bounds(args)  # a bad bound fails before any suite runs
+        bounds = _oracle_bounds(args)  # a bad bound fails before any suite runs
+        if len(names) > 1 and _usable_cpus() >= 2:
+            # the oracle shares nothing with the other suites, so it takes the second CPU
+            child = _start_oracle(*bounds)
+            names.remove("oracle")
     results: list[VerifyItem] = []
-    if args.jobs > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for items in pool.map(lambda n: SUITES[n](args), names):
-                results.extend(items)
-    else:
+    try:
         # the suites sharing _h8_cone_over_a2 run first, so their pair is
         # released before the rest run
         for n in sorted(names, key=lambda n: n not in _H8_CONE_SUITES):
             if n not in _H8_CONE_SUITES:
                 vars(args).pop("h8_cone", None)
             results.extend(SUITES[n](args))
+        if child is not None:
+            results.extend(_oracle_items(child))
+    finally:
+        if child is not None:
+            child.kill()  # a no-op once the child has exited and been waited for
+            child.wait()
+            child.stdout.close()
     results.sort(key=lambda r: r[0])
-    failures = 0
-    for item, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        failures += 0 if ok else 1
-        print(f"{status}\t{item}\t{detail}")
-    print(f"{'ok' if not failures else 'FAIL'}\tsummary\t{len(results) - failures}/{len(results)} checks passed")
-    return 0 if not failures else 1
+    lines = _report(results)
+    print("\n".join(lines))
+    return 0 if lines[-1].startswith("ok\t") else 1
 
 
 # ---------------------------------------------------------------------------
@@ -771,16 +837,6 @@ def _say(msg: str) -> None:
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None, help=f"cache directory (default ${CACHE_ENV_VAR} or ~/.cache/extforge)")
     p.add_argument("--force", action="store_true", help="recompute even on cache hit or corruption")
-
-
-def _add_jobs_flag(p: argparse.ArgumentParser, work: str) -> None:
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=f"threads for {work}; output is the same for every N, and N > 1 measured slower on 2 CPUs",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -810,7 +866,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--no-png", action="store_true", help="skip the PNG figure next to the TSV")
     p_ext.add_argument("--out", default=".", help="output directory")
     _add_cache_flags(p_ext)
-    _add_jobs_flag(p_ext, "the tensor factors of the coefficients")
+    p_ext.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="threads for the tensor factors of the coefficients (ext only); "
+        "output is the same for every N, and N > 1 measured slower on 2 CPUs",
+    )
     p_ext.set_defaults(func=cmd_ext)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -818,7 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite-max-s", type=int, default=None, help="filtration bound (oracle)")
     p_ver.add_argument("--suite-max-stem", type=int, default=None, help="stem bound (oracle)")
     _add_cache_flags(p_ver)
-    _add_jobs_flag(p_ver, "the suites")
     p_ver.set_defaults(func=cmd_verify)
 
     p_bg = sub.add_parser("bgpoly", help="print a Brown-Gitler polynomial and its summands")
@@ -840,6 +902,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
+        return 1
+    except SuiteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

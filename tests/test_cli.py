@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import zlib
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extforge import cli, modules, resolution
+from extforge import cli, resolution
 
 
 def run(argv, capsys=None):
@@ -43,7 +44,7 @@ def test_parse_tensor_and_suspension():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "nope", "bo:x", "bo:-1", "h8 ⊗ h8v18", "s^2 h8", "s^ bo:1", "s^-3 bo:1"):
+    for bad in ("", "nope", "bo:x", "bo:-1", "abar:7", "h8 ⊗ h8v18", "s^2 h8", "s^ bo:1", "s^-3 bo:1"):
         with pytest.raises(cli.UsageError):
             cli.parse_descriptor(bad)
 
@@ -99,8 +100,16 @@ def _flip_crc(raw):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_flip_mid_stream, lambda raw: raw[: len(raw) // 2], lambda raw: b"", _flip_crc],
-    ids=["flipped-deflate-byte", "truncated", "empty", "flipped-crc"],
+    [
+        _flip_mid_stream,
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: b"",
+        _flip_crc,
+        # whole gzip files holding valid JSON that is not an object
+        lambda raw: cli._gzip_bytes("[]"),
+        lambda raw: cli._gzip_bytes("null"),
+    ],
+    ids=["flipped-deflate-byte", "truncated", "empty", "flipped-crc", "json-list", "json-null"],
 )
 def test_resolve_reports_a_corrupt_payload(tmp_path, capsys, corrupt):
     args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
@@ -114,6 +123,21 @@ def test_resolve_reports_a_corrupt_payload(tmp_path, capsys, corrupt):
     assert code == 0 and "computed and cached" in out
     code, out, _ = run(args, capsys)
     assert code == 0 and "cache hit" in out
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--max-stem", "4", "--no-png"], "A1-s4-t7"),
+        (["verify", "les"], "A2-s14-t48"),
+    ],
+    ids=["ext", "verify"],
+)
+def test_commands_report_a_payload_that_is_not_an_object(argv, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{_key(key)}.json.gz").write_bytes(cli._gzip_bytes("[]"))
+    code, _, err = run([*argv, "--cache-dir", str(tmp_path)], capsys)
+    assert code == 1 and err.startswith("cache error: corrupt cache entry") and "--force" in err, err
 
 
 def _rewrite_payload(cache_dir, key, edit):
@@ -396,6 +420,8 @@ def test_cone_charts_match_the_deeper_resolutions(
         # nothing below t = 0 is resolved, so s^-3 would cut bo:1's stem-0 tower
         (["ext", "s^-3 bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "6"], 2,
          "must be non-negative"),
+        # A//A(2)* has nothing in positive degrees below 8
+        (["ext", "abar:7", "--max-s", "2", "--max-t", "10", "--no-png"], 2, "at least 8"),
         (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "0"], 2, "--jobs must be at least 1"),
         (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "-4"], 2, "--jobs must be at least 1"),
         # the window applies to rendered charts; the JSON document is always whole
@@ -403,7 +429,7 @@ def test_cone_charts_match_the_deeper_resolutions(
           "--format", "json"], 2, "a JSON document holds the whole chart"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
-         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "jobs-zero", "jobs-negative",
+         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "abar-below-8", "jobs-zero", "jobs-negative",
          "window-json"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
@@ -420,12 +446,21 @@ def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
 
 
 def test_resolve_takes_no_jobs(tmp_path, capsys):
-    # only ext and verify have work to spread over threads
+    # only ext has work to spread over threads
     with pytest.raises(SystemExit) as exc:
         cli.main(["resolve", "--algebra", "A1", "--max-s", "2", "--max-t", "5", "--jobs", "3",
                   "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_verify_takes_no_jobs(tmp_path, capsys):
+    # verify spends a second CPU on the oracle's own process instead
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "all", "--jobs", "2", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
 
@@ -556,16 +591,6 @@ def test_verify_fast_suites(capsys):
         assert lines[-1].startswith("ok\tsummary\t")
 
 
-def test_verify_bo_sequences_same_output_for_every_job_count(capsys):
-    outputs = []
-    for jobs in ("1", "2"):
-        modules._bo_poincare.cache_clear()
-        code, out, _ = run(["verify", "bo-sequences", "--jobs", jobs], capsys)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-
-
 def test_verify_unknown_suite(capsys):
     code, _, err = run(["verify", "nonsense"], capsys)
     assert code == 2 and "unknown suite" in err
@@ -579,23 +604,20 @@ def test_verify_oracle_small_window(capsys):
     assert "oracle.A1.trivial" in out and "oracle.A2.bo1" in out
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_verify_all_lines_are_pinned_and_resolve_a2_once(jobs, tmp_path, capsys, monkeypatch):
-    # the benchmark's verify-all workload records the digest of its verify lines
-    design = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "design.json").read_text())
-    spec = design["workloads"]["verify-all"]
+# the benchmark's verify-all workload and the digest of its verify lines
+VERIFY_ALL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "design.json").read_text())[
+    "workloads"
+]["verify-all"]
+
+
+def test_verify_all_lines_are_pinned_and_resolve_a2_once(tmp_path, capsys, monkeypatch):
     resolved = []
     real = cli.resolve_cached
     monkeypatch.setattr(cli, "resolve_cached", lambda *a, **kw: resolved.append(a[:3]) or real(*a, **kw))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # --jobs 4 runs the suites in threads: switch between them often
-    try:
-        code, out, _ = run([*spec["argv"], "--jobs", jobs, "--cache-dir", str(tmp_path)], capsys)
-    finally:
-        sys.setswitchinterval(interval)
+    code, out, _ = run([*VERIFY_ALL["argv"], "--cache-dir", str(tmp_path)], capsys)
     assert code == 0
     lines = "".join(ln for ln in out.splitlines(keepends=True) if ln.startswith(("ok\t", "FAIL\t")))
-    assert hashlib.sha256(lines.encode()).hexdigest() == spec["sha256"]
+    assert hashlib.sha256(lines.encode()).hexdigest() == VERIFY_ALL["sha256"]
     # les and vanishing-windows read one A(2) resolution, resolved once
     assert resolved == [("A2", 14, 48)]
     assert len(list(tmp_path.glob(_key("A2-*.json.gz")))) == 1
@@ -608,7 +630,72 @@ def test_verify_all_releases_the_shared_cone_before_the_oracle(tmp_path, capsys,
         seen.append(hasattr(args, "h8_cone"))
         return [("oracle.stub", True, "")]
 
+    # with two CPUs the oracle runs in its own process, which the stub cannot reach
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     monkeypatch.setitem(cli.SUITES, "oracle", oracle)
-    code, out, _ = run(["verify", "all", "--jobs", "1", "--cache-dir", str(tmp_path)], capsys)
+    code, out, _ = run(["verify", "all", "--cache-dir", str(tmp_path)], capsys)
     assert code == 0 and "ok\tles.h8\t" in out and "ok\tvanishing-windows.control\t" in out
     assert seen == [False]
+
+
+def _record_oracle_processes(monkeypatch, code=None):
+    """Replace subprocess.Popen by a spy that checks each command is the oracle
+    suite's, runs ``code`` in its place when given, and keeps every process."""
+    real = subprocess.Popen
+    procs = []
+
+    def popen(argv, **kwargs):
+        assert argv[:6] == [sys.executable, "-S", "-m", "extforge.cli", "verify", "oracle"], argv
+        procs.append(real([sys.executable, "-c", code] if code is not None else argv, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return procs
+
+
+def test_verify_all_is_the_same_on_one_cpu_and_on_two(tmp_path, capfd, monkeypatch):
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        procs = _record_oracle_processes(monkeypatch)
+        results[cpus] = run([*VERIFY_ALL["argv"], "--cache-dir", str(tmp_path / f"cpus{cpus}")], capfd)
+        # the oracle ran in a second process only when two CPUs were usable
+        assert [p.wait(timeout=60) for p in procs] == ([0] if cpus == 2 else [])
+    assert results[1][0] == 0 and "oracle.A2.bo1" in results[1][1]
+    assert results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        ("raise SystemExit(3)", "exited with code 3"),
+        ("import os, signal; os.kill(os.getpid(), signal.SIGKILL)", f"exited with code {-signal.SIGKILL}"),
+        ("raise RuntimeError('the oracle process crashed')", "lines that are not its report"),
+        # one item line, but a summary that counts two
+        ("print('ok\\toracle.A1.trivial\\t6 bidegrees agree\\nok\\tsummary\\t2/2 checks passed')",
+         "exited with code 0 after 2 lines that are not its report"),
+    ],
+    ids=["exit-3", "killed", "traceback", "miscounted-summary"],
+)
+def test_verify_all_reports_a_broken_oracle_process(code, message, tmp_path, capfd, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    procs = _record_oracle_processes(monkeypatch, code)
+    got, out, err = run(["verify", "all", "--suite-max-s", "2", "--suite-max-stem", "4",
+                         "--cache-dir", str(tmp_path)], capfd)
+    assert got == 1 and "summary" not in out
+    assert "error: verify oracle, run in a second process, " in err and message in err, err
+    assert len(procs) == 1 and procs[0].poll() is not None
+
+
+def test_verify_all_kills_the_oracle_process_when_a_suite_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    procs = _record_oracle_processes(monkeypatch, "import time; time.sleep(60)")
+
+    def splitting(args):
+        raise RuntimeError("splitting broke")
+
+    monkeypatch.setitem(cli.SUITES, "splitting", splitting)
+    with pytest.raises(RuntimeError, match="splitting broke"):
+        cli.main(["verify", "all", "--cache-dir", str(tmp_path)])
+    assert len(procs) == 1 and procs[0].poll() is not None
+    assert procs[0].wait(timeout=5) == -signal.SIGKILL
