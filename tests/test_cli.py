@@ -610,7 +610,10 @@ VERIFY_ALL = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / 
 ]["verify-all"]
 
 
-def test_verify_all_lines_are_pinned_and_resolve_a2_once(tmp_path, capsys, monkeypatch):
+# one usable CPU runs every suite in this process; four run the oracle in a second one
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_verify_all_lines_are_pinned_and_resolve_a2_once(cpus, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     resolved = []
     real = cli.resolve_cached
     monkeypatch.setattr(cli, "resolve_cached", lambda *a, **kw: resolved.append(a[:3]) or real(*a, **kw))
