@@ -46,7 +46,7 @@ import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from . import __version__
+from . import COBAR_MAX_S, COBAR_MAX_STEM, __version__
 from .records import record
 
 if TYPE_CHECKING:
@@ -553,14 +553,12 @@ VerifyItem = tuple[str, bool, str]
 
 def _oracle_bounds(args: argparse.Namespace) -> tuple[int, int]:
     """The oracle suite's (max_s, max_stem), checked against the cobar budget."""
-    from .cobar import MAX_S, MAX_STEM
-
     max_s = args.suite_max_s if args.suite_max_s is not None else 6
     max_stem = args.suite_max_stem if args.suite_max_stem is not None else 12
-    if not (0 <= max_s <= MAX_S and 0 <= max_stem <= MAX_STEM):
+    if not (0 <= max_s <= COBAR_MAX_S and 0 <= max_stem <= COBAR_MAX_STEM):
         raise UsageError(
-            f"the oracle needs 0 <= --suite-max-s <= {MAX_S} and "
-            f"0 <= --suite-max-stem <= {MAX_STEM}, got ({max_s}, {max_stem})"
+            f"the oracle needs 0 <= --suite-max-s <= {COBAR_MAX_S} and "
+            f"0 <= --suite-max-stem <= {COBAR_MAX_STEM}, got ({max_s}, {max_stem})"
         )
     return max_s, max_stem
 
@@ -575,7 +573,11 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
     for alg_name in ("A1", "A2"):
         algebra = algebra_profile(alg_name)
         res = minimal_resolution(algebra, _resolution_depth(None, max_s), max_stem + max_s)
-        for coeff_name, M in (("trivial", None), ("bo1", modules.bo(1, algebra))):
+        bo1 = modules.bo(1, algebra)
+        # F2 on bo1's bottom class is a subcomodule, so one cobar pass ranks both rows
+        trivial: dict[tuple[int, int], int] = {}
+        bo1_dims = cobar.cotor(algebra, bo1, max_s=max_s, max_stem=max_stem, bottom=trivial)
+        for coeff_name, M, oracle in (("trivial", None, trivial), ("bo1", bo1, bo1_dims)):
             chart = (
                 ext_f2(res, install_products=())
                 if M is None
@@ -586,7 +588,6 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
                 for (s, t), d in chart.dims.items()
                 if s <= max_s and t - s <= max_stem and d
             }
-            oracle = cobar.cotor(algebra, M, max_s=max_s, max_stem=max_stem)
             ok = engine == oracle
             diff = sorted(set(engine.items()) ^ set(oracle.items()))
             items.append(
@@ -805,6 +806,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # the oracle shares nothing with the other suites, so it takes the second CPU
             child = _start_oracle(*bounds)
             names.remove("oracle")
+    elif args.suite_max_s is not None or args.suite_max_stem is not None:
+        raise UsageError(
+            f"--suite-max-s and --suite-max-stem bound the oracle suite, which verify {args.suite} does not run"
+        )
     results: list[VerifyItem] = []
     try:
         # the suites sharing _h8_cone_over_a2 run first, so their pair is

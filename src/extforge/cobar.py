@@ -36,12 +36,11 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import COBAR_MAX_S as MAX_S
+from . import COBAR_MAX_STEM as MAX_STEM
 from . import gf2
 from .milnor import Profile
 from .records import record
-
-MAX_S = 7
-MAX_STEM = 14
 
 Monomial = tuple[int, ...]
 TensorTerm = tuple[Monomial, Monomial]
@@ -304,7 +303,7 @@ class CobarComplex:
             self.coaction.append(
                 tuple(index[mono] << c | k for mono, k in row if mono in index)
             )
-        self._count: dict[tuple[int, int], int] = {}
+        self._count: dict[tuple[int, int, bool], int] = {}
         self._words: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         # letter ids by degree, in increasing degree
         self._by_degree: dict[int, tuple[int, ...]] = {}
@@ -321,15 +320,20 @@ class CobarComplex:
             code >>= b
         return tuple(reversed(out))
 
-    def dimension(self, s: int, t: int) -> int:
+    def _indices(self, bottom: bool) -> tuple[int, ...]:
+        # the degrees of the comodule indices a slice is built on
+        return self.comodule.degrees[:1] if bottom else self.comodule.degrees
+
+    def dimension(self, s: int, t: int, bottom: bool = False) -> int:
+        """Size of Omega^{s,t}, or of its index-0 part when bottom is set."""
         if t < 0 or s < 0:
             return 0
         if s == 0:
-            return sum(1 for d in self.comodule.degrees if d == t)
-        key = (s, t)
+            return self._indices(bottom).count(t)
+        key = (s, t, bottom)
         if key not in self._count:
             self._count[key] = sum(
-                len(lids) * self.dimension(s - 1, t - d)
+                len(lids) * self.dimension(s - 1, t - d, bottom)
                 for d, lids in self._by_degree.items()
                 if d <= t
             )
@@ -349,14 +353,15 @@ class CobarComplex:
             )
         return self._words[key]
 
-    def elements(self, s: int, t: int):
+    def elements(self, s: int, t: int, bottom: bool = False):
         """Yield the codes of the basis of Omega^{s,t} in deterministic order.
 
         The order is by comodule index, then letter-degree sequence, then
         letter ids, first letter slowest; each degree sequence expands as
         one product over the per-degree letter tables.  The fields of a code
         do not overlap, so a code is the sum of its sentinel-and-index part
-        and its letter ids shifted into place.
+        and its letter ids shifted into place.  With bottom set, only the
+        elements of comodule index 0 are yielded.
         """
         b, c = self.letter_bits, self.index_bits
         # placed[i][e]: the letter ids of degree e, shifted to position i
@@ -368,7 +373,7 @@ class CobarComplex:
             }
             for i in range(s)
         ]
-        for j, d in enumerate(self.comodule.degrees):
+        for j, d in enumerate(self._indices(bottom)):
             top = (1 << (s * b + c) | j,)
             for degrees in self._degree_words(s, t - d):
                 yield from map(sum, itertools.product(top, *map(dict.__getitem__, placed, degrees)))
@@ -408,9 +413,10 @@ class CobarComplex:
         return out
 
     def verify_d_squared(
-        self, s: int, t: int, images: Optional[dict[int, list[int]]] = None
+        self, s: int, t: int, images: Optional[dict[int, list[int]]] = None, bottom: bool = False
     ) -> dict[int, list[int]]:
-        """Check d(d(x)) = 0 for every basis element x of Omega^{s,t}.
+        """Check d(d(x)) = 0 for every basis element x of Omega^{s,t}, or
+        for those of comodule index 0 when bottom is set.
 
         images maps elements of Omega^{s,t} to their d, as returned by the
         call on slice s - 1; the d(x) computed here are added to it, so a
@@ -424,7 +430,7 @@ class CobarComplex:
             images = {}
         apply_d = self.apply_d
         after: dict[int, list[int]] = {}
-        for x in self.elements(s, t):
+        for x in self.elements(s, t, bottom):
             dx = images.get(x)
             if dx is None:
                 dx = images[x] = apply_d(x)
@@ -457,6 +463,7 @@ def cotor(
     M: object = None,
     max_s: int = 6,
     max_stem: int = 12,
+    bottom: Optional[dict[tuple[int, int], int]] = None,
 ) -> dict[tuple[int, int], int]:
     """Bigraded Cotor dimensions over A(n)_* with coefficients in M.
 
@@ -464,16 +471,25 @@ def cotor(
     an engine FiniteModule (converted through the duality bridge).  Only
     nonzero dimensions appear in the result.
 
+    When bottom is given, basis element 0 of M must be a degree-0 class
+    with an empty coaction (ValueError otherwise).  F2 on that class is
+    then a subcomodule, so the index-0 elements span the subcomplex
+    Omega(A; F2), and the Cotor dimensions with trivial coefficients are
+    added to bottom from the same complex: each slice gets a second rank
+    pass over the columns of its index-0 elements, with its own clearing.
+
     Every basis element in the slices (s,t) with s >= s_lo - 1 (s_lo being
     the lowest reported filtration at t) of up to _D2_CHECK_CAP elements
-    gets an exhaustive d^2 = 0 check; that covers all of the A(1) range and
-    the low-degree A(2) range, and CobarComplex.verify_d_squared can audit
-    any specific slice on demand.
+    gets an exhaustive d^2 = 0 check, and with bottom given so does every
+    index-0 element of a slice over the cap whose index-0 part is not;
+    that covers all of the A(1) range and the low-degree A(2) range, and
+    CobarComplex.verify_d_squared can audit any specific slice on demand.
     Each basis element is differentiated at most once per t: the check
     hands the images it computes, of slice s and of the terms it meets in
-    slice s + 1, to the rank passes of those slices.  Every computed
-    dimension is also asserted non-negative, which a broken differential
-    or rank bookkeeping would quickly violate.
+    slice s + 1, to the rank passes of those slices, and the index-0 pass
+    keeps the images it reads for the pass over the whole slice.  Every
+    computed dimension is also asserted non-negative, which a broken
+    differential or rank bookkeeping would quickly violate.
     """
     if max_s > MAX_S or max_stem > MAX_STEM:
         raise CobarBudgetError(
@@ -490,22 +506,35 @@ def cotor(
         N = comodule_from_module(M)
     if N.profile != algebra:
         raise ValueError("comodule does not live over the requested algebra")
+    if bottom is not None and (N.degrees[:1] != (0,) or N.coaction[0]):
+        raise ValueError(
+            "the trivial row needs basis element 0 of the comodule to be a "
+            "degree-0 class with an empty coaction"
+        )
 
     # a reported spot (s,t) has t <= max_stem + s, so nothing above this
     # internal degree can matter, whatever the coefficients
     max_t = max_stem + max_s
     cx = CobarComplex(algebra, N, max_t)
 
-    def columns(s, t, images, cleared):
-        for x in cx.elements(s, t):
-            if x not in cleared:
-                dx = images.pop(x, None)
-                yield cx.apply_d(x) if dx is None else dx
+    # each row ranked, the index-0 subcomplex (True) or the whole complex
+    # (False), and the dict its dims go to; the index-0 row goes first and
+    # keeps the images it reads, and the whole row takes them
+    rows = {True: bottom, False: {}} if bottom is not None else {False: {}}
 
-    dims: dict[tuple[int, int], int] = {}
+    def columns(s, t, row, images, cleared):
+        for x in cx.elements(s, t, row):
+            if x not in cleared:
+                dx = images.get(x) if row else images.pop(x, None)
+                if dx is None:
+                    dx = cx.apply_d(x)
+                    if row:
+                        images[x] = dx
+                yield dx
+
     for t in range(0, max_t + 1):
         s_lo = max(0, t - max_stem)
-        ranks: dict[int, int] = {}
+        ranks: dict[bool, dict[int, int]] = {row: {} for row in rows}
         # clearing (Chen & Kerber, "Persistent homology computation with a
         # twist"): the image of d_{s-1} projects isomorphically onto its
         # pivot rows, so because d_s d_{s-1} = 0 those basis elements of
@@ -513,32 +542,32 @@ def cotor(
         # loop starts at s = 0, below the reported range, so that no level
         # is ranked uncleared: reducing its cocycles to zero is the
         # expensive part of an elimination.
-        cleared: set[int] = set()
+        cleared: dict[bool, set[int]] = {row: set() for row in rows}
         # d of the elements of slice s that the check of slice s - 1 met
         images: dict[int, list[int]] = {}
         for s in range(0, max_s + 1):
-            n_here = cx.dimension(s, t)
-            if n_here == 0:
-                ranks[s] = 0
-                cleared, images = set(), {}
-                continue
             after: dict[int, list[int]] = {}
-            if s >= s_lo - 1 and n_here <= _D2_CHECK_CAP:
-                after = cx.verify_d_squared(s, t, images)
-            pivots: set[int] = set()
-            ranks[s] = gf2.sparse_rank(columns(s, t, images, cleared), pivots)
-            cleared, images = pivots, after
-        for s in range(s_lo, max_s + 1):
-            n_here = cx.dimension(s, t)
-            rank_in = ranks.get(s - 1, 0)
-            dim = (n_here - ranks.get(s, 0)) - rank_in
-            if dim < 0:
-                raise AssertionError(
-                    f"negative Cotor dimension at ({s},{t}): bookkeeping is broken"
-                )
-            if dim:
-                dims[(s, t)] = dim
-    return dims
+            if s >= s_lo - 1:
+                # the whole slice if it is within the cap, else its index-0 part
+                for row in sorted(rows):
+                    if 0 < cx.dimension(s, t, row) <= _D2_CHECK_CAP:
+                        after = cx.verify_d_squared(s, t, images, row)
+                        break
+            for row in rows:
+                pivots: set[int] = set()
+                ranks[row][s] = gf2.sparse_rank(columns(s, t, row, images, cleared[row]), pivots)
+                cleared[row] = pivots
+            images = after
+        for row, out in rows.items():
+            for s in range(s_lo, max_s + 1):
+                dim = cx.dimension(s, t, row) - ranks[row][s] - ranks[row].get(s - 1, 0)
+                if dim < 0:
+                    raise AssertionError(
+                        f"negative Cotor dimension at ({s},{t}): bookkeeping is broken"
+                    )
+                if dim:
+                    out[(s, t)] = dim
+    return rows[False]
 
 
 # ---------------------------------------------------------------------------

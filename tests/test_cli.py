@@ -427,10 +427,13 @@ def test_cone_charts_match_the_deeper_resolutions(
         # the window applies to rendered charts; the JSON document is always whole
         (["ext", "f2", "--algebra", "A1", "--max-s", "6", "--max-stem", "12", "--window", "3..9",
           "--format", "json"], 2, "a JSON document holds the whole chart"),
+        # the suite bounds bound the oracle only, so without it they are refused
+        (["verify", "les", "--suite-max-s", "9"], 2, "which verify les does not run"),
+        (["verify", "splitting", "--suite-max-stem", "4"], 2, "which verify splitting does not run"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
          "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "abar-below-8", "jobs-zero", "jobs-negative",
-         "window-json"],
+         "window-json", "suite-s-without-oracle", "suite-stem-without-oracle"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     """Each input either runs or is a usage error (exit 2, no traceback)
@@ -438,11 +441,35 @@ def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     cache = tmp_path / "cache"
     if argv[0] == "ext":
         argv = argv + ["--cache-dir", str(cache), "--out", str(tmp_path)]
+    elif argv[0] == "verify":
+        argv = argv + ["--cache-dir", str(cache)]
     got, _, err = run(argv, capsys)
     assert got == code
     assert message in err and "Traceback" not in err
     if code == 2:
         assert not cache.exists() or not os.listdir(cache)
+
+
+def test_oracle_bounds_leave_cobar_uncompiled():
+    """The bounds check reads the cobar budget without importing cobar, so
+    verify all starts the oracle's process without compiling it first."""
+    code = "\n".join([
+        "import argparse, sys",
+        "from extforge import cli",
+        "print(cli._oracle_bounds(argparse.Namespace(suite_max_s=5, suite_max_stem=8)))",
+        "try:",
+        "    cli._oracle_bounds(argparse.Namespace(suite_max_s=8, suite_max_stem=8))",
+        "except cli.UsageError as exc:",
+        "    print(exc)",
+        "print('extforge.cobar' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "(5, 8)",
+        "the oracle needs 0 <= --suite-max-s <= 7 and 0 <= --suite-max-stem <= 14, got (8, 8)",
+        "False",
+    ]
 
 
 def test_resolve_takes_no_jobs(tmp_path, capsys):

@@ -263,6 +263,83 @@ def test_d_squared_coverage_and_clearing_at_the_suite_bounds(monkeypatch):
     assert zero_columns <= 100
 
 
+# the slices of A(1)'s bo1 complex at verify's default bounds (6, 12) that
+# are over _D2_CHECK_CAP while their index-0 part is not
+_A1_CAPPED_SLICES = {(5, 17): (1835, 3546), (5, 18): (1775, 4245)}
+
+
+@pytest.mark.parametrize(
+    "algebra, bounds",
+    [(milnor.A1, (5, 8)), (milnor.A2, (5, 8)), (milnor.A1, (6, 12))],
+    ids=["A1-5-8", "A2-5-8", "A1-6-12"],
+)
+def test_bottom_row_is_the_trivial_cotor_from_one_pass(algebra, bounds, monkeypatch):
+    """cotor(bo1, bottom=...) fills bottom with cotor(F2), differentiates
+    each element once, and d^2-checks every element the trivial run does."""
+    checked: set = set()
+    check = cobar.CobarComplex.verify_d_squared
+
+    def recorded_check(self, s, t, images=None, bottom=False):
+        # the index-0 elements of the slice, which the check covers either way
+        checked.update(map(self.decode, self.elements(s, t, True)))
+        return check(self, s, t, images, bottom)
+
+    differentiated: list = []
+    apply_d = cobar.CobarComplex.apply_d
+
+    def recorded_apply_d(self, code):
+        differentiated.append(code)
+        return apply_d(self, code)
+
+    monkeypatch.setattr(cobar.CobarComplex, "verify_d_squared", recorded_check)
+    monkeypatch.setattr(cobar.CobarComplex, "apply_d", recorded_apply_d)
+    trivial = cobar.cotor(algebra, None, *bounds)
+    # the trivial comodule's codes have no index bits, so its elements
+    # decode to the same tuples as the index-0 elements of the bo1 complex
+    checked_trivial, checked = checked, set()
+    differentiated.clear()
+    bottom: dict = {}
+    assert cobar.cotor(algebra, cobar.bo1_comodule(algebra), *bounds, bottom=bottom)
+    assert bottom == trivial
+    assert len(set(differentiated)) == len(differentiated)
+    assert checked_trivial <= {x for x in checked if x[-1] == 0}
+    if bounds == (6, 12):
+        cx = cobar.CobarComplex(algebra, cobar.bo1_comodule(algebra), sum(bounds))
+        for (s, t), sizes in _A1_CAPPED_SLICES.items():
+            assert (cx.dimension(s, t, True), cx.dimension(s, t)) == sizes
+            assert sizes[0] <= cobar._D2_CHECK_CAP < sizes[1]
+            # the index-0 elements lead the slice
+            part = list(cx.elements(s, t, True))
+            assert part == list(cx.elements(s, t))[: sizes[0]]
+            assert {cx.decode(x) for x in part} <= checked
+
+
+@pytest.mark.parametrize(
+    "comodule",
+    [
+        cobar.comodule_from_monomials(milnor.A1, [(4,), (), (0, 2), (0, 0, 1)]),
+        cobar.bo1_comodule(milnor.A1)._replace(degrees=(1, 5, 7, 8)),
+    ],
+    ids=["reordered-bo1", "suspended-bo1"],
+)
+def test_bottom_row_needs_a_bottom_class_first(comodule):
+    # both rank without a bottom row
+    assert cobar.cotor(milnor.A1, comodule, max_s=2, max_stem=4)
+    with pytest.raises(ValueError, match="degree-0 class with an empty coaction"):
+        cobar.cotor(milnor.A1, comodule, max_s=2, max_stem=4, bottom={})
+
+
+def test_bottom_row_keeps_the_d_squared_check():
+    # the broken coaction of test_d_squared_check_catches_a_broken_coaction
+    # leaves n_0 alone, so a call with a bottom row runs and must still fail
+    bo1 = cobar.bo1_comodule(milnor.A1)
+    rows = list(bo1.coaction)
+    rows[3] = tuple(term for term in rows[3] if term != ((0, 1), 1))
+    broken = bo1._replace(coaction=tuple(rows))
+    with pytest.raises(AssertionError, match=r"d\^2 != 0"):
+        cobar.cotor(milnor.A1, broken, max_s=2, max_stem=8, bottom={})
+
+
 def test_cotor_line_one_a2():
     """Cotor^{1,t}(F2) over A(2) detects exactly the three generators."""
     dims = cobar.cotor(milnor.A2, max_s=1, max_stem=8)
