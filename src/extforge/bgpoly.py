@@ -8,8 +8,8 @@ coefficients decompose: a monomial a * s^k t^l x^m stands for a summand
 of the E1-page of the exact-sequence spectral sequences, plus residual terms
 computed over the smaller subalgebra A(1) which the polynomial bookkeeping
 deliberately drops; a1_vanishing_filter says where those residual terms
-provably vanish.  SummandDescriptor reads one monomial as its chart summand.
-Everything here is exact integer arithmetic; no chart
+provably vanish.  ``ext-forge bgpoly`` reads each monomial as its chart
+summand.  Everything here is exact integer arithmetic; no chart
 computation happens in this module.
 
 Conventions: s is the homological shift variable, t the 8-fold suspension
@@ -160,21 +160,6 @@ def check_lemma(i: int) -> LemmaReport:
     x_degree_ok = poly.max_power(2) <= _digits(i)
     s_degree_ok = poly.max_power(0) == _ones_left_of_rightmost_zero(i)
     return LemmaReport(i, weight_ok, mod_s_ok, x_degree_ok, s_degree_ok)
-
-
-@record
-class SummandDescriptor(NamedTuple):
-    """One monomial s^k t^l x^m of f_I, read as a chart summand."""
-
-    suspension: int  # 8l + k
-    tensor_power: int  # m
-    homological_shift: int  # k
-    multiplicity: int
-
-    @property
-    def bottom_bidegree(self) -> tuple[int, int]:
-        """(s, t) where the summand's bottom cell first contributes."""
-        return (self.homological_shift, self.suspension + self.homological_shift)
 
 
 def a1_vanishing_filter(t_minus_s: int, s: int) -> bool:

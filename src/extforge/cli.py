@@ -27,8 +27,8 @@ package's records are NamedTuples and plain classes, which compile no
 generated methods, so no command imports ``inspect`` (with ``ast``) or
 ``fractions``.
 
-``--jobs N`` applies to ``ext`` only.  ``--window`` narrows the rendered
-formats only, so ``--format json`` refuses it.
+``--window`` narrows the rendered formats only, so ``--format json``
+refuses it.
 
 ``verify all`` runs the cobar oracle in a second ``ext-forge`` process when
 two or more CPUs are usable, and the other suites in this one; its output
@@ -285,22 +285,15 @@ def _build_factor(factor: Factor, algebra: Profile) -> FiniteModule:
     return M
 
 
-def build_coefficients(plan: DescriptorPlan, algebra: Profile, jobs: int = 1) -> FiniteModule:
+def build_coefficients(plan: DescriptorPlan, algebra: Profile) -> FiniteModule:
     """Tensor the module factors together, left to right.  A module the
     algebra cannot carry (any module over the full algebra) is a UsageError."""
-    # imported here, before any worker thread needs it
     from . import modules
 
     try:
         if not plan.factors:
             return modules.trivial(algebra)
-        if jobs > 1 and len(plan.factors) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                built = list(pool.map(lambda f: _build_factor(f, algebra), plan.factors))
-        else:
-            built = [_build_factor(f, algebra) for f in plan.factors]
+        built = [_build_factor(f, algebra) for f in plan.factors]
         out = built[0]
         for M in built[1:]:
             out = modules.tensor(out, M)
@@ -375,7 +368,6 @@ def build_chart(
     max_t: int,
     cache_dir: Path,
     force: bool = False,
-    jobs: int = 1,
     log: Callable[[str], None] = lambda _s: None,
 ) -> tuple[ExtChart, dict[str, list[int]]]:
     """Resolve, build any cone object, and compute the requested chart."""
@@ -393,7 +385,7 @@ def build_chart(
     plain = plan.cell is None and all(f.atom == "f2" and not f.suspension for f in plan.factors)
     # any other module is built first, so one the algebra cannot carry
     # fails before a resolution is computed or cached
-    M = None if plain else build_coefficients(plan, algebra_profile(algebra_name), jobs=jobs)
+    M = None if plain else build_coefficients(plan, algebra_profile(algebra_name))
     res, _hit = resolve_cached(
         algebra_name, _resolution_depth(plan.cell, max_s), max_t, cache_dir, force=force, log=log
     )
@@ -463,16 +455,7 @@ def cmd_ext(args: argparse.Namespace) -> int:
             f"window {args.window} exceeds the computed stem bound {max_t - max_s}; "
             "raise --max-stem or --max-t"
         )
-    chart, selections = build_chart(
-        plan,
-        args.algebra,
-        max_s,
-        max_t,
-        cache_dir,
-        force=args.force,
-        jobs=args.jobs,
-        log=_say,
-    )
+    chart, selections = build_chart(plan, args.algebra, max_s, max_t, cache_dir, force=args.force, log=_say)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = f"ext-{plan.slug}-{args.algebra}-s{max_s}-t{max_t}"
@@ -533,14 +516,13 @@ def cmd_bgpoly(args: argparse.Namespace) -> int:
     else:
         label = "f_{" + ",".join(str(p) for p in parts) + "}"
     _say(f"{label} = {poly}")
+    # s^k t^l x^m is the summand Sigma^{8l+k} bo_1^{(x)m} [-k], whose bottom
+    # cell first contributes at (s, t) = (k, 8l + 2k)
     for (k, l, m), mult in sorted(poly.coefficients):
-        desc = bgpoly.SummandDescriptor(
-            suspension=8 * l + k, tensor_power=m, homological_shift=k, multiplicity=mult
-        )
-        tensor = f"bo_1^(x{desc.tensor_power})" if desc.tensor_power else "F2"
+        tensor = f"bo_1^(x{m})" if m else "F2"
         _say(
-            f"  summand S^{desc.suspension} {tensor}: homological shift {desc.homological_shift},"
-            f" multiplicity {desc.multiplicity}, bottom bidegree {desc.bottom_bidegree}"
+            f"  summand S^{8 * l + k} {tensor}: homological shift {k},"
+            f" multiplicity {mult}, bottom bidegree {(k, 8 * l + 2 * k)}"
         )
     return 0
 
@@ -573,10 +555,13 @@ def _suite_oracle(args: argparse.Namespace) -> list[VerifyItem]:
     for alg_name in ("A1", "A2"):
         algebra = algebra_profile(alg_name)
         res = minimal_resolution(algebra, _resolution_depth(None, max_s), max_stem + max_s)
-        bo1 = modules.bo(1, algebra)
-        # F2 on bo1's bottom class is a subcomodule, so one cobar pass ranks both rows
+        # the oracle builds its own bo1 comodule, never the engine's module;
+        # F2 on its bottom class is a subcomodule, so one cobar pass ranks both rows
         trivial: dict[tuple[int, int], int] = {}
-        bo1_dims = cobar.cotor(algebra, bo1, max_s=max_s, max_stem=max_stem, bottom=trivial)
+        bo1_dims = cobar.cotor(
+            algebra, cobar.bo1_comodule(algebra), max_s=max_s, max_stem=max_stem, bottom=trivial
+        )
+        bo1 = modules.bo(1, algebra)
         for coeff_name, M, oracle in (("trivial", None, trivial), ("bo1", bo1, bo1_dims)):
             chart = (
                 ext_f2(res, install_products=())
@@ -871,14 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--no-png", action="store_true", help="skip the PNG figure next to the TSV")
     p_ext.add_argument("--out", default=".", help="output directory")
     _add_cache_flags(p_ext)
-    p_ext.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="threads for the tensor factors of the coefficients (ext only); "
-        "output is the same for every N, and N > 1 measured slower on 2 CPUs",
-    )
     p_ext.set_defaults(func=cmd_ext)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -899,8 +876,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

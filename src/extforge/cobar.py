@@ -227,8 +227,9 @@ def comodule_from_module(M) -> Comodule:
     The engine stores actions homology-style (Sq(e) lowers degree by |e|),
     so the coaction is read off directly: psi(m_j) contains xibar^e (x) m_k
     exactly when m_k appears in Sq(e) . m_j.  This is the only place the
-    oracle touches engine-built data, and it exists so tests can confirm
-    the bridge agrees with comodule_from_monomials.
+    oracle touches engine-built data, and only tests and acceptance
+    criterion 1 reach it, to confirm the bridge agrees with
+    comodule_from_monomials; ``verify oracle`` never does.
     """
     profile = M.algebra
     degs = tuple(b.degree for b in M.basis)

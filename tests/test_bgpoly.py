@@ -89,14 +89,3 @@ def test_vanishing_filter_matches_the_rational_inequality():
 def test_vanishing_filter_monotone_in_s(stem, s):
     if bgpoly.a1_vanishing_filter(stem, s):
         assert bgpoly.a1_vanishing_filter(stem, s + 1)
-
-
-def test_summand_bottom_bidegrees():
-    # f_2 = t x + s t^2: summands S^8 bo_1 and S^17 F2 with shift 1
-    bottoms = sorted(
-        bgpoly.SummandDescriptor(
-            suspension=8 * l + k, tensor_power=m, homological_shift=k, multiplicity=c
-        ).bottom_bidegree
-        for (k, l, m), c in f(2).coefficients
-    )
-    assert bottoms == [(0, 8), (1, 18)]

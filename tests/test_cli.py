@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from extforge import cli, resolution
+from extforge import cli, cobar, resolution
 
 
 def run(argv, capsys=None):
@@ -239,7 +239,7 @@ def test_resolve_misses_cleanly_after_a_format_version_bump(tmp_path, capsys, mo
 
 _ENGINE = {f"extforge.{m}" for m in ("gf2", "milnor", "modules", "resolution", "charts", "cobar", "bgpoly")}
 _RESOLVER = {"extforge.gf2", "extforge.milnor", "extforge.modules", "extforge.resolution", "gzip"}
-# command -> the modules of _ENGINE, gzip and concurrent.futures it may import
+# command -> the modules of _ENGINE and gzip it may import
 _COMMAND_IMPORTS = [
     (["--version"], set()),
     (["bgpoly", "6"], {"extforge.bgpoly"}),
@@ -267,10 +267,10 @@ def test_numpy_stays_out_of_the_package(tmp_path):
         assert "extforge" in roots and "numpy" not in roots, argv
         # the cache needs neither OpenSSL's hashes nor file locks
         assert not roots & {"hashlib", "_hashlib", "fcntl"}, (argv, sorted(roots))
-        # each command loads only the engine modules it runs and a thread
-        # pool only for --jobs > 1; records are NamedTuples and plain
-        # classes, so no command compiles dataclasses (with inspect and ast),
-        # and no command needs fractions
+        # each command loads only the engine modules it runs and no thread
+        # pool; records are NamedTuples and plain classes, so no command
+        # compiles dataclasses (with inspect and ast), and no command needs
+        # fractions
         forbidden = (_ENGINE | {"gzip", "concurrent.futures"}) - allowed
         assert not imported & forbidden, (argv, sorted(imported & forbidden))
         assert not imported & {"dataclasses", "inspect", "fractions"}, (argv, sorted(imported))
@@ -422,8 +422,6 @@ def test_cone_charts_match_the_deeper_resolutions(
          "must be non-negative"),
         # A//A(2)* has nothing in positive degrees below 8
         (["ext", "abar:7", "--max-s", "2", "--max-t", "10", "--no-png"], 2, "at least 8"),
-        (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "0"], 2, "--jobs must be at least 1"),
-        (["ext", "f2", "--algebra", "A1", "--max-s", "3", "--jobs", "-4"], 2, "--jobs must be at least 1"),
         # the window applies to rendered charts; the JSON document is always whole
         (["ext", "f2", "--algebra", "A1", "--max-s", "6", "--max-stem", "12", "--window", "3..9",
           "--format", "json"], 2, "a JSON document holds the whole chart"),
@@ -432,7 +430,7 @@ def test_cone_charts_match_the_deeper_resolutions(
         (["verify", "splitting", "--suite-max-stem", "4"], 2, "which verify splitting does not run"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
-         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "abar-below-8", "jobs-zero", "jobs-negative",
+         "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "abar-below-8",
          "window-json", "suite-s-without-oracle", "suite-stem-without-oracle"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
@@ -472,20 +470,19 @@ def test_oracle_bounds_leave_cobar_uncompiled():
     ]
 
 
-def test_resolve_takes_no_jobs(tmp_path, capsys):
-    # only ext has work to spread over threads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ext", "bo:1 * bo:1", "--algebra", "A1", "--max-s", "2", "--max-stem", "4"],
+        ["resolve", "--algebra", "A1", "--max-s", "2", "--max-t", "5"],
+        ["verify", "all"],
+    ],
+    ids=["ext", "resolve", "verify"],
+)
+def test_no_command_takes_jobs(argv, tmp_path, capsys):
+    # every command runs on one thread; verify's oracle process is its own
     with pytest.raises(SystemExit) as exc:
-        cli.main(["resolve", "--algebra", "A1", "--max-s", "2", "--max-t", "5", "--jobs", "3",
-                  "--cache-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
-
-
-def test_verify_takes_no_jobs(tmp_path, capsys):
-    # verify spends a second CPU on the oracle's own process instead
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "all", "--jobs", "2", "--cache-dir", str(tmp_path)])
+        cli.main(argv + ["--jobs", "2", "--cache-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
@@ -571,17 +568,6 @@ def test_ext_window_beyond_bound_is_usage_error(tmp_path, capsys):
     assert code == 2 and "exceeds" in err
 
 
-def test_ext_jobs_identical_output(tmp_path, capsys):
-    base = [
-        "ext", "bo:1 * bo:1", "--algebra", "A1", "--max-s", "5", "--max-stem", "10",
-        "--cache-dir", str(tmp_path), "--no-png",
-    ]
-    assert run(base + ["--out", str(tmp_path / "j1"), "--jobs", "1"], capsys)[0] == 0
-    assert run(base + ["--out", str(tmp_path / "j4"), "--jobs", "4"], capsys)[0] == 0
-    name = "ext-bo-1-bo-1-A1-s5-t15.tsv"
-    assert (tmp_path / "j1" / name).read_text() == (tmp_path / "j4" / name).read_text()
-
-
 # ----- bgpoly command -----
 
 
@@ -629,6 +615,17 @@ def test_verify_oracle_small_window(capsys):
     )
     assert code == 0
     assert "oracle.A1.trivial" in out and "oracle.A2.bo1" in out
+
+
+def test_verify_oracle_builds_bo1_without_the_engine_module(capsys, monkeypatch):
+    # the oracle shares only gf2 with the engine, so its bo1 row never
+    # reads an engine module through the bridge
+    bridged = []
+    real = cobar.comodule_from_module
+    monkeypatch.setattr(cobar, "comodule_from_module", lambda M: bridged.append(M) or real(M))
+    code, out, _ = run(["verify", "oracle", "--suite-max-s", "3", "--suite-max-stem", "6"], capsys)
+    assert code == 0 and "ok\toracle.A2.bo1" in out
+    assert bridged == []
 
 
 # the benchmark's verify-all workload and the digest of its verify lines

@@ -31,7 +31,6 @@ RECORDS = {
     "cobar.Comodule": "",
     "bgpoly.BGPolynomial": "+*",
     "bgpoly.LemmaReport": "",
-    "bgpoly.SummandDescriptor": "",
     "cli.Factor": "",
     "cli.DescriptorPlan": "",
 }

@@ -31,7 +31,6 @@ KEEP = {
     "modules.dualize": "the module dual ROADMAP direction 5's second route resolves",
     "cobar.admissible_milnor_coordinates": "reference: tests compare Adem words with Milnor pairings",
     "cobar.adem_straighten": "reference: feeds admissible_milnor_coordinates in the tests",
-    "cobar.bo1_comodule": "reference: tests compare the module bridge with it",
     "gf2.Solver.pivot_columns": "reference: tests check the elimination's pivots with it",
     "gf2.BitMatrix.from_support": "reference: the chart JSON test decodes product matrices with it",
     "milnor.MilnorElement.sq": "reference: tests name known products with it",
