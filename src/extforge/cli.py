@@ -149,7 +149,7 @@ def resolve_cached(
     log: Callable[[str], None] = lambda _s: None,
 ) -> tuple[FreeResolution, bool]:
     """Minimal resolution through the cache; returns (resolution, was_hit)."""
-    from .resolution import RESOLUTION_FORMAT_VERSION, FreeComplex, FreeResolution, minimal_resolution
+    from .resolution import RESOLUTION_FORMAT_VERSION, FreeComplex, minimal_resolution
 
     algebra = algebra_profile(algebra_name)
     if max_s <= 0 or max_t <= 0:
@@ -160,16 +160,13 @@ def resolve_cached(
         if doc is not None:
             try:
                 res = FreeComplex.from_json_dict(doc)
-                if isinstance(res, FreeResolution):
-                    res.verify_minimal()
+                res.verify_minimal()
             except (KeyError, TypeError, ValueError) as exc:
-                # ResolutionError is a ValueError: a format version or a
-                # minimality check the entry fails
+                # ResolutionError is a ValueError: a format version, a cell or
+                # attaching check, or a minimality check the entry fails
                 raise CacheError(
                     f"cache entry {key} does not load ({exc!r}); rerun with --force to recompute"
                 ) from exc
-            if not isinstance(res, FreeResolution):
-                raise CacheError(f"cache entry {key} is not a plain resolution")
             if (res.algebra, res.max_s, res.max_t) != (algebra, max_s, max_t):
                 raise CacheError(
                     f"cache entry {key} holds another algebra or bounds than its name; "
@@ -441,6 +438,10 @@ def cmd_ext(args: argparse.Namespace) -> int:
     plan = parse_descriptor(args.descriptor)
     cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
     max_s = args.max_s
+    if args.max_t is not None and args.max_stem is not None:
+        raise UsageError("--max-t and --max-stem both bound the chart; give one of them")
+    if args.max_stem is not None and args.max_stem < 0:
+        raise UsageError(f"--max-stem must be non-negative, got {args.max_stem}")
     if args.max_t is not None:
         max_t = args.max_t
     elif args.max_stem is not None:
@@ -673,9 +674,8 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     bo1 = modules.bo(1)
     powers = {1: bo1, 2: modules.tensor(bo1, bo1)}
     powers[3] = modules.tensor(powers[2], bo1)
-    cache: dict = {}
     # kappa k=1 lands on a populated spot; it anchors the window as a control
-    control = ext_dim_at(H8V, powers[1], 10, 34, cache)
+    control = ext_dim_at(H8V, powers[1], 10, 34)
     items.append(
         (
             "vanishing-windows.control",
@@ -686,7 +686,7 @@ def _suite_vanishing_windows(args: argparse.Namespace) -> list[VerifyItem]:
     for name, (k, s, t) in sorted(_fallback_window_spots().items()):
         if (s, t) == (10, 34):
             continue
-        dim = ext_dim_at(H8V, powers[k], s, t, cache)
+        dim = ext_dim_at(H8V, powers[k], s, t)
         items.append(
             (
                 f"vanishing-windows.{name}",

@@ -176,6 +176,7 @@ class FiniteModule:
             self._by_degree[b.degree] += (idx,)
         self._dims = {d: len(idx) for d, idx in self._by_degree.items()}
         self._act_cache: dict[tuple[tuple[int, ...], int], gf2.BitMatrix] = {}
+        self._columns_cache: dict[tuple[frozenset, int], tuple[int, ...]] = {}
         if validate:
             self.check_valid()
 
@@ -314,6 +315,23 @@ class FiniteModule:
             )
             self._act_cache[key] = cached
         return cached
+
+    def action_columns(self, terms: frozenset[tuple[int, ...]], source_degree: int) -> tuple[int, ...]:
+        """The summed action of the monomials ``terms`` on degree
+        ``source_degree``, in column form: one int per source basis element,
+        bit r for basis element r of the target degree.  Cached, as Hom
+        deltas read the same columns at many spots."""
+        key = (terms, source_degree)
+        cols = self._columns_cache.get(key)
+        if cols is None:
+            target_degree = source_degree - monomial_degree(next(iter(terms), ()))
+            rows = [0] * self.dimension_in(target_degree)
+            for mono in terms:
+                for r, row in enumerate(self.monomial_action_matrix(mono, source_degree).row_bits):
+                    rows[r] ^= row
+            n_cols = self.dimension_in(source_degree)
+            cols = self._columns_cache[key] = gf2.BitMatrix(len(rows), n_cols, rows).transpose().row_bits
+        return cols
 
 
 # ----- constructors -----

@@ -109,14 +109,6 @@ class Gen(NamedTuple):
 DiffRow = tuple[tuple[int, MilnorElement], ...]
 
 
-@record
-class AttachingRecord(NamedTuple):
-    s0: int
-    t0: int
-    class_coords: tuple[int, ...]
-    chart_dim: int
-
-
 class FreeComplex:
     """A bounded free complex with cell bookkeeping.
 
@@ -132,7 +124,6 @@ class FreeComplex:
         cells: Sequence[Cell],
         gens: Sequence[Sequence[Gen]],
         diff: Sequence[Sequence[DiffRow]],
-        attachings: Sequence[AttachingRecord] = (),
     ):
         self.algebra = algebra
         self.max_s = max_s
@@ -140,7 +131,6 @@ class FreeComplex:
         self.cells = tuple(cells)
         self.gens = [list(level) for level in gens]
         self.diff = [list(level) for level in diff]
-        self.attachings = tuple(attachings)
         self._coords_cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._columns_cache: dict[tuple[int, int], gf2.BitMatrix] = {}
         self._solver_cache: dict[tuple[int, int], gf2.Solver] = {}
@@ -259,15 +249,20 @@ class FreeComplex:
                 ]
                 for level in self.diff
             ],
-            "attachings": [
-                [r.s0, r.t0, list(r.class_coords), r.chart_dim] for r in self.attachings
-            ],
+            # always empty, as only resolutions are cached; kept so that the
+            # payload bytes of entries already written stay the same
+            "attachings": [],
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "FreeComplex":
+    def from_json_dict(cls, doc: dict) -> "FreeResolution":
+        """The resolution a ``to_json_dict`` document holds.  Only minimal
+        resolutions are cached, so a document with other cells or an
+        attaching map is refused."""
         if doc.get("format_version") != RESOLUTION_FORMAT_VERSION:
             raise ResolutionError(f"unsupported resolution format {doc.get('format_version')}")
+        if doc["cells"] != [["0", 0, 0]] or doc["attachings"] != []:
+            raise ResolutionError("not a plain resolution: it needs one 0-cell and no attaching maps")
         algebra = Profile(tuple(doc["algebra"]) if doc["algebra"] is not None else None)
         gens = [[Gen(t, c) for t, c in level] for level in doc["gens"]]
         diff = [
@@ -280,10 +275,7 @@ class FreeComplex:
             ]
             for level in doc["diff"]
         ]
-        cells = [Cell(lbl, stem, filt) for lbl, stem, filt in doc["cells"]]
-        attach = [AttachingRecord(s0, t0, tuple(cc), cd) for s0, t0, cc, cd in doc["attachings"]]
-        klass: type = FreeResolution if len(cells) == 1 and not attach else FreeComplex
-        return klass(algebra, doc["max_s"], doc["max_t"], cells, gens, diff, attach)
+        return FreeResolution(algebra, doc["max_s"], doc["max_t"], [Cell("0", 0, 0)], gens, diff)
 
 
 class FreeResolution(FreeComplex):
@@ -459,30 +451,22 @@ def _hom_layout(cplx: FreeComplex, M: FiniteModule, s: int, t: int):
     return offsets, total
 
 
-def _hom_delta(
-    cplx: FreeComplex, M: FiniteModule, s: int, t: int, cache: Optional[dict] = None
-) -> gf2.BitMatrix:
+def _hom_delta(cplx: FreeComplex, M: FiniteModule, s: int, t: int) -> gf2.BitMatrix:
     """Matrix of delta: Hom^{s,t} -> Hom^{s+1,t}, in column form: row j of
     the result is column j of delta.
 
     In the column of coordinate c of source generator h, the block of
     target generator g' is the XOR, over the terms (h, a) of d(g'), of
-    column c of the action of a on M.  ``cache`` may hold those action
-    columns across calls.
+    column c of the action of a on M, which M caches.
     """
-    if cache is None:
-        cache = {}
     dim_of = M.dims_by_degree
+    action_columns = M.action_columns
     src_off, src_total = _hom_layout(cplx, M, s, t)
     targets = cplx.level_gens(s + 1)
     if not src_total:
         return gf2.BitMatrix(0, sum(dim_of.get(t - g.t, 0) for g in targets), ())
     gens_s = cplx.gens[s]
     diff = cplx.diff[s + 1] if targets else ()
-    # keyed by module identity too: callers may share one cache across charts
-    # with different coefficients.  Held in the cache, M keeps its id to itself
-    m_id = id(M)
-    cache.setdefault(m_id, M)
     cols = [0] * src_total
     r0 = 0  # first row of target generator g'
     for gp, g in enumerate(targets):
@@ -491,18 +475,9 @@ def _hom_delta(
             continue
         for h, a in diff[gp]:
             d_src = t - gens_s[h].t
-            n_cols = dim_of.get(d_src)
-            if not n_cols:
+            if not dim_of.get(d_src):
                 continue
-            key = (m_id, a.terms, d_src)
-            act = cache.get(key)
-            if act is None:
-                rows = [0] * n_rows
-                for mono in a.terms:
-                    for r, row in enumerate(M.monomial_action_matrix(mono, d_src).row_bits):
-                        rows[r] ^= row
-                act = cache[key] = gf2.BitMatrix(n_rows, n_cols, rows).transpose().row_bits
-            for j, col in enumerate(act, src_off[h]):
+            for j, col in enumerate(action_columns(a.terms, d_src), src_off[h]):
                 cols[j] ^= col << r0
         r0 += n_rows
     return gf2.BitMatrix(src_total, r0, cols)
@@ -588,12 +563,11 @@ def ext_over_complex(
         module=M,
     )
     multi_cell = len(cplx.cells) > 1
-    cache: dict = {}
     for t in range(t_hi + 1):
         prev_delta: Optional[gf2.BitMatrix] = None  # in column form
         prev_rank = 0
         for s in range(s_hi + 1):
-            delta = _hom_delta(cplx, M, s, t, cache)
+            delta = _hom_delta(cplx, M, s, t)
             cur_total = delta.rows
             if cur_total == 0:
                 prev_delta, prev_rank = None, 0
@@ -626,17 +600,11 @@ def ext_over_complex(
     return chart
 
 
-def ext_dim_at(
-    cplx: FreeComplex,
-    M: FiniteModule,
-    s: int,
-    t: int,
-    cache: Optional[dict] = None,
-) -> int:
+def ext_dim_at(cplx: FreeComplex, M: FiniteModule, s: int, t: int) -> int:
     """Dimension of a single Hom-cohomology spot via two boundary ranks.
 
     Much cheaper than a full chart when only a handful of bidegrees are
-    needed; the optional cache shares module action rows across calls.
+    needed; calls with one module share the action columns it caches.
     """
     if M.algebra != cplx.algebra:
         raise ResolutionError("algebra mismatch between complex and coefficients")
@@ -645,8 +613,8 @@ def ext_dim_at(
     _, cur_total = _hom_layout(cplx, M, s, t)
     if cur_total == 0:
         return 0
-    rank_out = gf2.rank(_hom_delta(cplx, M, s, t, cache))
-    rank_in = gf2.rank(_hom_delta(cplx, M, s - 1, t, cache)) if s > 0 else 0
+    rank_out = gf2.rank(_hom_delta(cplx, M, s, t))
+    rank_in = gf2.rank(_hom_delta(cplx, M, s - 1, t)) if s > 0 else 0
     return (cur_total - rank_out) - rank_in
 
 
@@ -705,7 +673,7 @@ def install_named_product(chart: ExtChart, name: str) -> bool:
             f"not installed: class {name} needs dim 1 at ({s0},{t0}); found {found}"
         )
         return False
-    chart.products[name] = _product_matrices(chart, _lift_class(res, s0, t0)[0])
+    chart.products[name] = _product_matrices(chart, _lift_class(res, s0, t0))
     return True
 
 
@@ -978,7 +946,7 @@ def yoneda_product(a: ChartClass, b: ChartClass) -> ChartClass:
     tdim = b.chart.dim(s_new, t_new)
     if a.is_zero() or tdim == 0:
         return ChartClass(b.chart, s_new, t_new, (0,) * tdim)
-    lifted = _lift_class(res, a.s, a.t, a.coords)[0]
+    lifted = _lift_class(res, a.s, a.t, a.coords)
     mat = _product_matrix_at(b.chart, lifted, (b.s, b.t))
     vec = gf2.matvec(mat, sum(c << i for i, c in enumerate(b.coords)))
     return ChartClass(b.chart, s_new, t_new, tuple((vec >> i) & 1 for i in range(tdim)))
@@ -1017,10 +985,9 @@ def _local_cohomology(cplx: FreeComplex, s: int, t: int) -> CohomologyLocal:
 
 def _lift_class(
     cplx: FreeComplex, s0: int, t0: int, class_coords: Optional[Sequence[int]] = None
-) -> tuple[ChainMap, tuple[int, ...], int]:
+) -> ChainMap:
     """Chain map lifting a trivial-coefficient class of the complex at
-    (s0,t0), given and checked as in ``cone``; returned with the class
-    coordinates and the dimension of the spot."""
+    (s0,t0), given and checked as in ``cone``."""
     local = _local_cohomology(cplx, s0, t0)
     if local.dim == 0:
         raise ResolutionError(f"no class at ({s0},{t0})")
@@ -1035,7 +1002,7 @@ def _lift_class(
         raise ResolutionError("attaching class must be a nonzero class in range")
     cocycle_vec = gf2.combine(local.rep_vectors, sum(c << i for i, c in enumerate(coords)))
     seed = {i: (cocycle_vec >> p) & 1 for p, i in enumerate(_trivial_layout(cplx, s0, t0))}
-    return lift_cocycle(cplx, s0, t0, seed), coords, local.dim
+    return lift_cocycle(cplx, s0, t0, seed)
 
 
 # ----- cones -----
@@ -1052,9 +1019,10 @@ def cone(
     The class is given in the canonical representative basis of the base's
     chart at that spot; it defaults to the unique nonzero class when the
     spot is 1-dimensional.  Zero and ambiguous attaching classes are
-    rejected.
+    rejected.  The cone keeps no record of the class: its cells and
+    differential are all that later steps read.
     """
-    phi, coords, dim = _lift_class(base, s0, t0, class_coords)
+    phi = _lift_class(base, s0, t0, class_coords)
 
     shift_stem, shift_filt = t0 - s0 + 1, s0 - 1
     new_cells = list(base.cells) + [
@@ -1093,16 +1061,7 @@ def cone(
             for i in range(len(base.level_gens(s_src))):
                 row = [(b2_index[(s - 1, h)], a) for h, a in base.diff[s_src][i]]
                 diff[s].append(tuple(row))
-    record = AttachingRecord(s0, t0, coords, dim)
-    return FreeComplex(
-        base.algebra,
-        max_s,
-        max_t,
-        cells_sorted,
-        gens,
-        diff,
-        attachings=base.attachings + (record,),
-    )
+    return FreeComplex(base.algebra, max_s, max_t, cells_sorted, gens, diff)
 
 
 def cells_of_tensor(x: FreeComplex, y: FreeComplex) -> tuple[tuple[int, int], ...]:
@@ -1286,7 +1245,7 @@ def attaching_action(
     cplx = chart.source
     if cplx is None:
         raise ResolutionError("attaching action needs a chart with runtime handles")
-    return _product_matrices(chart, _lift_class(cplx, s0, t0, class_coords)[0])
+    return _product_matrices(chart, _lift_class(cplx, s0, t0, class_coords))
 
 
 # ----- long exact sequence consistency -----

@@ -185,12 +185,11 @@ def test_criterion_04_les_consistency(res_a2, sphere_a2, h8_chart, report):
 
 def test_criterion_05_high_spot_and_truncation_vanishing(res_a2, h8, h8_chart, report):
     spot = h8_chart.dim(8, 56)
-    cache: dict = {}
     summands = {
-        i: R.ext_dim_at(h8, modules.bo(i), 7, 56 - 8 * i, cache) for i in range(1, 8)
+        i: R.ext_dim_at(h8, modules.bo(i), 7, 56 - 8 * i) for i in range(1, 8)
     }
     bo_total = sum(summands.values())
-    direct = R.ext_dim_at(h8, modules.abar_truncation(50), 7, 56, cache)
+    direct = R.ext_dim_at(h8, modules.abar_truncation(50), 7, 56)
     ok = spot == 1 and bo_total == 0 and direct == 0
     report(
         5,
@@ -219,17 +218,16 @@ def test_criterion_06_window_vanishing_spots(res_a2_deep, h8v_deep, report):
     powers = {1: bo1}
     for k in range(2, 6):
         powers[k] = modules.tensor(powers[k - 1], bo1)
-    cache: dict = {}
     spots = {}
     for name, (S, T) in {"nu2": (26, 146), "kappa": (26, 154)}.items():
         for k in range(1, 6):
             s, t = S + 1 - k, T - 8 * k
-            spots[f"{name}_k{k}_s{s}_t{t}"] = R.ext_dim_at(X, powers[k], s, t, cache)
+            spots[f"{name}_k{k}_s{s}_t{t}"] = R.ext_dim_at(X, powers[k], s, t)
     fallback = {}
     for name, (S, T) in {"nu2": (10, 34), "kappa": (10, 42)}.items():
         for k in range(1, 4):
             s, t = S + 1 - k, T - 8 * k
-            fallback[f"{name}_k{k}_s{s}_t{t}"] = R.ext_dim_at(X, powers[k], s, t, cache)
+            fallback[f"{name}_k{k}_s{s}_t{t}"] = R.ext_dim_at(X, powers[k], s, t)
 
     control = spots.pop("kappa_k1_s26_t146")
     fb_control = fallback.pop("kappa_k1_s10_t34")

@@ -172,6 +172,15 @@ def _raise_max_t(doc):
     doc["max_t"] += 1
 
 
+def _add_a_cell(doc):
+    # a payload with a second cell is a complex, not the resolution its key names
+    doc["cells"].append(["1", 1, 0])
+
+
+def _add_an_attaching(doc):
+    doc["attachings"].append([1, 2, [1], 1])
+
+
 def test_entry_with_earlier_sidecars_still_hits(tmp_path, capsys):
     # earlier versions wrote the same payload next to a manifest with its
     # SHA-256 and a lock file; both are ignored now
@@ -213,7 +222,7 @@ def test_concurrent_writers_leave_one_whole_entry(tmp_path):
     assert sorted(os.listdir(tmp_path)) == [f"{_key('A1-s3-t8')}.json.gz"]
 
 
-@pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient, _raise_max_t])
+@pytest.mark.parametrize("edit", [_bump_version, _add_unit_coefficient, _raise_max_t, _add_a_cell, _add_an_attaching])
 def test_resolve_rejects_an_entry_that_does_not_load(tmp_path, capsys, edit):
     args = ["resolve", "--algebra", "A1", "--max-s", "4", "--max-t", "10", "--cache-dir", str(tmp_path)]
     assert run(args, capsys)[0] == 0
@@ -425,13 +434,18 @@ def test_cone_charts_match_the_deeper_resolutions(
         # the window applies to rendered charts; the JSON document is always whole
         (["ext", "f2", "--algebra", "A1", "--max-s", "6", "--max-stem", "12", "--window", "3..9",
           "--format", "json"], 2, "a JSON document holds the whole chart"),
+        # a chart takes one bound on t; two would silently drop one of them
+        (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-t", "2", "--max-stem", "5"], 2,
+         "give one of them"),
+        (["ext", "bo:1", "--algebra", "A1", "--max-s", "3", "--max-stem", "-2"], 2,
+         "--max-stem must be non-negative"),
         # the suite bounds bound the oracle only, so without it they are refused
         (["verify", "les", "--suite-max-s", "9"], 2, "which verify les does not run"),
         (["verify", "splitting", "--suite-max-stem", "4"], 2, "which verify splitting does not run"),
     ],
     ids=["bgpoly-negative", "bgpoly-zero-entry", "oracle-s-over-budget", "oracle-s-negative",
          "h8-s0", "h8-t2", "h8v18-t20", "negative-suspension", "abar-below-8",
-         "window-json", "suite-s-without-oracle", "suite-stem-without-oracle"],
+         "window-json", "max-t-and-max-stem", "max-stem-negative", "suite-s-without-oracle", "suite-stem-without-oracle"],
 )
 def test_bad_bounds_exit_cleanly(argv, code, message, tmp_path, capsys):
     """Each input either runs or is a usage error (exit 2, no traceback)

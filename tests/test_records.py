@@ -23,7 +23,6 @@ RECORDS = {
     "modules.BoSequenceReport": "",
     "resolution.Cell": "",
     "resolution.Gen": "",
-    "resolution.AttachingRecord": "",
     "resolution.ChartClass": "",
     "resolution.SelfMapSelection": "",
     "resolution.LesReport": "",

@@ -1,10 +1,8 @@
 """Resolution engine: minimality, cones, products, LES, self-map selection."""
 
-import gc
 import hashlib
 import itertools
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -171,8 +169,7 @@ def test_lift_class_matches_index_seeds(res_a2_small):
     for res, names in ((res_a2_small, ("h0", "h1", "h2")), (full, ("h0", "h4"))):
         for name in names:
             s0, t0 = R.NAMED_CLASS_BIDEGREES[name]
-            lifted, coords, dim = R._lift_class(res, s0, t0)
-            assert (coords, dim) == ((1,), 1)
+            lifted = R._lift_class(res, s0, t0)
             assert lifted.rows == R.lift_cocycle(res, s0, t0, _reference_seed(res, s0, t0, (1,))).rows
     # h3 is no class over A(2): its spot is empty, and no seed is built
     assert not R._trivial_layout(res_a2_small, *R.NAMED_CLASS_BIDEGREES["h3"])
@@ -203,7 +200,7 @@ def test_yoneda_product_matches_index_seed_products(res_a2_small):
 
 def test_lifted_chain_maps_commute(res_a2_small, h8_small, monkeypatch):
     for name in ("h0", "h1", "h2"):
-        lifted = R._lift_class(res_a2_small, *R.NAMED_CLASS_BIDEGREES[name])[0]
+        lifted = R._lift_class(res_a2_small, *R.NAMED_CLASS_BIDEGREES[name])
         lifted.verify()
     key = next(k for k, v in sorted(lifted.rows.items()) if k[0] > lifted.s0 and v)
     lifted.rows[key] ^= 1
@@ -227,7 +224,7 @@ def test_levels_below_the_top_do_not_depend_on_depth(res_a2_small, h8_small, mon
     joint = R._lift_level_with_correction
     monkeypatch.setattr(R, "_lift_level_with_correction", lambda cm, s: corrected.append(s) or joint(cm, s))
     seed = dict(R.select_self_map(h8_small, 8, 24, deep, window_s=11, window_t=30).chosen_seed)
-    h0_cube_deep = R._lift_class(deep, 3, 3)[0].rows
+    h0_cube_deep = R._lift_class(deep, 3, 3).rows
     v18_deep = R.lift_cocycle(h8_small, 8, 24, seed).rows
 
     def at(rows, levels):
@@ -238,7 +235,7 @@ def test_levels_below_the_top_do_not_depend_on_depth(res_a2_small, h8_small, mon
         for s in range(n + 1):
             assert (res.gens[s], res.diff[s]) == (deep.gens[s], deep.diff[s]), (n, s)
         below = range(n)
-        assert at(R._lift_class(res, 3, 3)[0].rows, below) == at(h0_cube_deep, below)
+        assert at(R._lift_class(res, 3, 3).rows, below) == at(h0_cube_deep, below)
         h8 = R.cone(res, 3, 3)
         for s in below:
             assert (h8.gens[s], h8.diff[s]) == (h8_small.gens[s], h8_small.diff[s]), (n, s)
@@ -258,18 +255,6 @@ def test_ext_dim_at_consistent(res_a2_small):
     chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24)
     for spot in ((3, 15), (5, 11), (6, 18)):
         assert R.ext_dim_at(res_a2_small, bo1, *spot) == chart.dims.get(spot, 0)
-
-
-def test_shared_action_cache_keeps_its_modules_alive(res_a2_small):
-    # the cache is keyed per module; were a key's module freed, its identity
-    # could pass to the next module, which would then read stale columns
-    cache: dict = {}
-    M = modules.bo(1)
-    R.ext_dim_at(res_a2_small, M, 3, 15, cache)
-    alive = weakref.ref(M)
-    del M
-    gc.collect()
-    assert alive() is not None
 
 
 def test_change_of_rings(res_a1_small, res_a2_small):
@@ -511,18 +496,19 @@ def _reference_hom_delta(cplx, M, s, t):
 
 
 def test_hom_delta_matches_dense_assembly(res_a2_small, h8_small):
-    bo1 = modules.bo(1)
-    # one cache for both complexes and both modules, as ext_dim_at callers share it
-    cache: dict = {}
-    for M in (bo1, modules.tensor(bo1, bo1)):
+    # M serves both complexes, so it answers the second from its cached
+    # action columns; each complex also gets a freshly built twin of M
+    for build in (lambda: modules.bo(1), lambda: modules.tensor(modules.bo(1), modules.bo(1))):
+        M = build()
         for cplx in (res_a2_small, h8_small):
+            fresh = build()
             for t in range(cplx.max_t + 1):
                 deltas = []
                 for s in range(len(cplx.gens) - 1):
-                    got = R._hom_delta(cplx, M, s, t, cache)
+                    got = R._hom_delta(cplx, M, s, t)
                     assert isinstance(got, gf2.BitMatrix)
                     assert np.array_equal(to_dense(got), _reference_hom_delta(cplx, M, s, t).T), (s, t)
-                    assert got == R._hom_delta(cplx, M, s, t)
+                    assert got == R._hom_delta(cplx, fresh, s, t)
                     deltas.append(got)
                 for s in range(len(deltas) - 1):
                     assert gf2.multiply(deltas[s], deltas[s + 1]).is_zero(), (s, t)
@@ -532,11 +518,10 @@ def test_trivial_delta_matches_hom_delta_with_f2(res_a2_small, h8_small):
     # the class lifts keep their own trivial-coefficient assembly (it also
     # runs over the full algebra); over A(2) it must be the F2 Hom delta
     f2 = modules.trivial(milnor.A2)
-    cache: dict = {}
     for cplx in (res_a2_small, h8_small):
         for t in range(cplx.max_t + 1):
             for s in range(len(cplx.gens) - 1):
-                assert R._trivial_delta(cplx, s, t) == R._hom_delta(cplx, f2, s, t, cache), (s, t)
+                assert R._trivial_delta(cplx, s, t) == R._hom_delta(cplx, f2, s, t), (s, t)
 
 
 # ----- one-cell charts take ranks; representatives are built on demand -----
@@ -579,6 +564,38 @@ def test_on_demand_reps_equal_the_eager_ones(res_a2_small):
     for spot in chart.dims:
         assert _local_key(R._class_reps(chart, *spot)) == _local_key(eager.reps[spot]), spot
     assert set(chart.reps) == set(chart.dims)
+
+
+def test_class_coords_reads_classes_and_refuses_other_vectors(res_a2_small):
+    bo1 = modules.bo(1)
+    chart = R.ext_over_complex(res_a2_small, bo1, "bo1", max_s=8, max_t=24)
+    seen = {"dim 2": 0, "boundary": 0, "non-cocycle": 0, "zero spot": 0}
+    for s in range(chart.max_s + 1):
+        for t in range(chart.max_t + 1):
+            total = R._hom_layout(res_a2_small, bo1, s, t)[1]
+            if not total:
+                continue
+            local = R._class_reps(chart, s, t)
+            boundary = local.boundary_span.rows
+            # unit vectors that delta does not kill: no cocycle, so no class
+            outside = [1 << j for j, col in enumerate(R._hom_delta(res_a2_small, bo1, s, t).row_bits) if col]
+            if local.dim:
+                seen["dim 2"] += local.dim >= 2
+                seen["boundary"] += bool(boundary)
+                for coords in range(1, 1 << local.dim):
+                    rep = gf2.combine(local.rep_vectors, coords)
+                    for shift in range(1 << len(boundary)):
+                        assert local.class_coords(rep ^ gf2.combine(boundary, shift)) == coords, (s, t)
+                for vec in outside:
+                    seen["non-cocycle"] += 1
+                    with pytest.raises(R.ResolutionError, match="not a cocycle class in range"):
+                        local.class_coords(vec)
+            elif boundary and outside:
+                seen["zero spot"] += 1
+                assert local.class_coords(boundary[0]) == 0
+                with pytest.raises(R.ResolutionError, match="not a coboundary at a zero spot"):
+                    local.class_coords(outside[0])
+    assert all(seen.values()), seen
 
 
 def test_one_cell_charts_build_no_solver(res_a2_small, h8_small, monkeypatch):
